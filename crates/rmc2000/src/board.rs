@@ -60,7 +60,7 @@ impl Device for Rtc {
     }
 }
 
-/// The `board.*` telemetry counters the idle scheduler maintains.
+/// The `board<i>.board.*` telemetry counters the idle scheduler maintains.
 #[derive(Debug, Clone)]
 pub struct BoardCounters {
     /// Halted cycles consumed while idling (batched or stepwise).
@@ -70,24 +70,9 @@ pub struct BoardCounters {
 }
 
 impl BoardCounters {
-    /// Registers the counters in `registry` under the single-board names
-    /// (`board.*`), aliased as `board0.board.*` — historical snapshots
-    /// keep their keys, fleet tooling addresses the same cells
-    /// uniformly. Idempotent: fetches the existing cells on a second
-    /// call.
-    pub fn register(registry: &telemetry::Registry) -> BoardCounters {
-        let c = BoardCounters {
-            idle_cycles: registry.counter("board.idle_cycles", &[]),
-            skip_batches: registry.counter("board.skip_batches", &[]),
-        };
-        let _ = registry.alias_counter("board0.board.idle_cycles", &[], &c.idle_cycles);
-        let _ = registry.alias_counter("board0.board.skip_batches", &[], &c.skip_batches);
-        c
-    }
-
-    /// Registers the counters under board-namespaced names only
-    /// (`board<idx>.board.*`) — the fleet form, where several boards
-    /// share one registry.
+    /// Registers the counters under board-namespaced names
+    /// (`board<idx>.board.*`), so boards sharing one registry never
+    /// collide.
     pub fn register_board(registry: &telemetry::Registry, idx: usize) -> BoardCounters {
         BoardCounters {
             idle_cycles: registry.counter(&format!("board{idx}.board.idle_cycles"), &[]),
@@ -131,7 +116,8 @@ pub struct Board {
     pub resets: u64,
     /// Execution engine [`Board::run`] dispatches to.
     pub engine: Engine,
-    /// Idle-scheduler telemetry (`board.idle_cycles`, `board.skip_batches`).
+    /// Idle-scheduler telemetry (`board<idx>.board.idle_cycles`,
+    /// `board<idx>.board.skip_batches` once bound).
     pub counters: BoardCounters,
     serial_id: DeviceId,
     rtc_id: DeviceId,
@@ -169,17 +155,10 @@ impl Board {
         }
     }
 
-    /// Rebinds the board's `board.*` counters into `registry`, so one
-    /// snapshot covers the guest-side scheduler next to the `net.*`
-    /// counters. Values accumulated so far in the detached cells are not
-    /// carried over; bind before running.
-    pub fn bind_telemetry(&mut self, registry: &telemetry::Registry) {
-        self.counters = BoardCounters::register(registry);
-    }
-
-    /// As [`Board::bind_telemetry`], but under fleet-namespaced names
-    /// (`board<idx>.board.*`) so boards sharing one registry never
-    /// collide.
+    /// Rebinds the board's idle-scheduler counters into `registry` as
+    /// `board<idx>.board.*`, so one snapshot covers the guest-side
+    /// scheduler next to the `net.*` counters. Values accumulated so far
+    /// in the detached cells are not carried over; bind before running.
     pub fn bind_telemetry_board(&mut self, registry: &telemetry::Registry, idx: usize) {
         self.counters = BoardCounters::register_board(registry, idx);
     }
@@ -313,10 +292,9 @@ impl Board {
         }
     }
 
-    /// Lets a halted CPU sleep for up to `max_cycles` while peripherals —
-    /// and the NIC's netsim world — keep advancing, waking on the first
-    /// dispatchable interrupt. Returns true when an interrupt woke the
-    /// CPU.
+    /// Lets a halted CPU sleep for up to `max_cycles` while peripherals
+    /// keep advancing, waking on the first dispatchable interrupt.
+    /// Returns true when an interrupt woke the CPU.
     ///
     /// Time moves through the event-horizon scheduler: whole stretches of
     /// halted time are skipped in one batch per device deadline instead
@@ -365,7 +343,7 @@ impl Board {
     /// where the batch stops. Deadlines are lower bounds, so the batch
     /// never jumps past an interrupt raise; the bus still ticks devices
     /// through every intermediate poll boundary inside the batch, so
-    /// device-side work (world advance, frame delivery) happens at the
+    /// device-side work (NIC polls, frame delivery) happens at the
     /// same virtual times as before.
     fn halted_advance(&mut self, budget: u64) {
         debug_assert!(self.cpu.halted, "halted_advance on a running CPU");

@@ -99,12 +99,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Whether the plan schedules nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Schedules a raw event at `at_us`.
     #[must_use]
     pub fn at(mut self, at_us: u64, event: FaultEvent) -> FaultPlan {

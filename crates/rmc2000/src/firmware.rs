@@ -1,7 +1,7 @@
 //! Guest firmware building blocks for the NIC: assembly shims
-//! (`nic_accept`, `nic_close`, `nic_send`, `nic_recv`), an interrupt
-//! service routine, and the reference echo-server firmware the
-//! end-to-end tests assemble.
+//! (`nic_accept`, `nic_close`, `nic_send`, `nic_recv`) and the body of an
+//! echo interrupt service routine, which hand-assembled test firmware
+//! composes with its own prologue (the idle differential test does).
 //!
 //! The shims are the assembly the paper's Dynamic C library calls would
 //! compile to: explicit `ioe`-prefixed loads and stores against the NIC's
@@ -10,10 +10,10 @@
 //! intrinsics, from the same [`rabbit::nicmap`] constants.
 
 use crate::nic::{
-    CMD_ACCEPT, CMD_CLOSE, CMD_LISTEN, CMD_RX_NEXT, CMD_TX_GO, NIC_CMD, NIC_CONN, NIC_IER,
-    NIC_LPORT_HI, NIC_LPORT_LO, NIC_RXLEN_HI, NIC_RXLEN_LO, NIC_RX_WINDOW, NIC_STATUS,
-    NIC_TXLEN_HI, NIC_TXLEN_LO, NIC_TX_WINDOW, NIC_VECTOR, STATUS_ACCEPT_READY,
-    STATUS_PEER_CLOSED, STATUS_RX_AVAIL, STATUS_TX_READY,
+    CMD_ACCEPT, CMD_CLOSE, CMD_RX_NEXT, CMD_TX_GO, NIC_CMD, NIC_CONN, NIC_IER, NIC_LPORT_HI,
+    NIC_LPORT_LO, NIC_RXLEN_HI, NIC_RXLEN_LO, NIC_RX_WINDOW, NIC_STATUS, NIC_TXLEN_HI,
+    NIC_TXLEN_LO, NIC_TX_WINDOW, STATUS_ACCEPT_READY, STATUS_PEER_CLOSED, STATUS_RX_AVAIL,
+    STATUS_TX_READY,
 };
 
 /// Default scratch buffer the echo ISR bounces frames through (root
@@ -122,9 +122,14 @@ pub fn nic_shims() -> String {
 /// causes on connection handle 0 — bind a pending connection when the
 /// handle is free, echo every received frame through the scratch buffer
 /// at [`ECHO_BUF`], and close the handle once the peer has gone and the
-/// queue is drained. Reusable by firmwares that add their own
-/// prologue/epilogue (the differential tests compose it with a serial
+/// queue is drained. Firmware adds its own register save/restore and
+/// `reti` around it (the idle differential test also adds a serial
 /// ISR).
+///
+/// The loop processes *all* interrupt causes before returning, so
+/// interrupt delivery only ever happens against a halted CPU or at the
+/// `reti` boundary — the two points both execution engines sample
+/// identically.
 pub fn nic_isr_body() -> String {
     format!(
         "isr_loop:\n\
@@ -161,70 +166,9 @@ pub fn nic_isr_body() -> String {
     )
 }
 
-/// The complete echo-server firmware: configures the NIC for the given
-/// TCP `port` with receive interrupts, then sleeps in `halt`; the ISR
-/// accepts the connection onto handle 0, drains every pending frame and
-/// echoes each one back (`nic_recv` → `nic_send` through the scratch
-/// buffer at [`ECHO_BUF`]), and closes the handle when the peer goes
-/// away.
-///
-/// The ISR runs at priority 1 and processes *all* interrupt causes
-/// before `reti`, so interrupt delivery only ever happens against a
-/// halted CPU or at the `reti` boundary — the two points both execution
-/// engines sample identically. This is what makes the end-to-end
-/// transcripts and cycle counts byte-identical across engines.
-pub fn echo_firmware(port: u16) -> String {
-    let equates = nic_equates();
-    let shims = nic_shims();
-    let isr_body = nic_isr_body();
-    format!(
-        "{equates}\
-         \n\
-         \x20       org {NIC_VECTOR:#06x}\n\
-         \x20       jp nic_isr\n\
-         \n\
-         \x20       org 0x4000\n\
-         start:\n\
-         \x20       ld a, {lport_lo}\n\
-         \x20       ioe ld (NICPRTL), a\n\
-         \x20       ld a, {lport_hi}\n\
-         \x20       ioe ld (NICPRTH), a\n\
-         \x20       ld a, 1\n\
-         \x20       ioe ld (NICIER), a\n\
-         \x20       ld a, {CMD_LISTEN}\n\
-         \x20       ioe ld (NICCMD), a\n\
-         spin:\n\
-         \x20       halt\n\
-         \x20       jr spin\n\
-         \n\
-         nic_isr:\n\
-         \x20       push af\n\
-         \x20       push bc\n\
-         \x20       push de\n\
-         \x20       push hl\n\
-         {isr_body}\
-         \x20       pop hl\n\
-         \x20       pop de\n\
-         \x20       pop bc\n\
-         \x20       pop af\n\
-         \x20       reti\n\
-         \n\
-         {shims}",
-        lport_lo = port & 0xFF,
-        lport_hi = port >> 8,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn echo_firmware_assembles() {
-        let image = rabbit::assemble(&echo_firmware(7)).expect("echo firmware assembles");
-        assert!(image.sections.iter().any(|s| s.addr == NIC_VECTOR));
-        assert!(image.sections.iter().any(|s| s.addr == 0x4000));
-    }
 
     #[test]
     fn shims_assemble_standalone() {

@@ -1,16 +1,13 @@
 //! Fleet scheduler: N boards, one deterministic world, one clock owner.
 //!
-//! The one-board drivers let the board's NIC backend drag the shared
-//! [`World`] clock forward ([`crate::nic::ClockMode::Follow`]): whenever
-//! the board's local cycle count crossed a poll boundary, the backend
-//! called `run_for` on the world. That contract cannot scale past one
-//! board — with two boards each dragging the clock, whoever polls first
-//! advances time under the other's feet, and every observable becomes a
-//! function of host-side iteration order. This module lifts time
-//! ownership out of the NIC: the [`Fleet`] scheduler is the only party
-//! that advances the world, and every board's backend is a passive
-//! participant ([`crate::nic::ClockMode::Passive`]) that just reads
-//! `now` and moves bytes.
+//! The [`Fleet`] scheduler is the only party that advances the shared
+//! [`World`]; every board's NIC backend is a passive participant that
+//! reads `now` and moves bytes. A NIC that dragged the clock forward
+//! whenever its board crossed a poll boundary could not scale past one
+//! board: whoever polled first would advance time under the others'
+//! feet, and every observable would become a function of host-side
+//! iteration order. [`fleet_serve`] is the one serving driver; a
+//! single-board run is a fleet of one.
 //!
 //! # The epoch barrier
 //!
@@ -40,20 +37,13 @@
 //! fleet-level analogue of [`crate::Board::idle`]'s batched halted time.
 //! The skip decision is a function of barrier state only, so it too is
 //! visit-order- and engine-invariant.
-//!
-//! # Solo mode
-//!
-//! The legacy one-board drivers ([`crate::serve::serve_clients`],
-//! [`crate::secure::secure_serve`]) run on the same scheduler in solo
-//! mode: one Follow-mode board, pumped with the exact legacy
-//! run/probe/idle sequence. A one-board fleet is byte-identical to the
-//! pre-fleet drivers by construction.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use rabbit::nicmap::MAX_CONNS;
 use rabbit::{Engine, IoSpace};
+use telemetry::{ProfileReport, SymbolTable};
 
 use netsim::{Endpoint, Ipv4, LinkId, LinkParams, LoadBalancer, SimHost, SocketId, World};
 
@@ -105,7 +95,6 @@ struct Slot {
 pub struct Fleet {
     world: Rc<RefCell<World>>,
     slots: Vec<Slot>,
-    solo: bool,
     epochs: u64,
 }
 
@@ -115,14 +104,8 @@ impl Fleet {
         Fleet {
             world: Rc::clone(world),
             slots: Vec::new(),
-            solo: false,
             epochs: 0,
         }
-    }
-
-    /// The shared world (cloned handle).
-    pub fn world(&self) -> Rc<RefCell<World>> {
-        Rc::clone(&self.world)
     }
 
     /// Number of boards in the fleet.
@@ -140,38 +123,9 @@ impl Fleet {
         self.epochs
     }
 
-    /// Adds the single board of a legacy solo fleet: its NIC follows the
-    /// legacy clock contract (the backend drags the world) and its
-    /// telemetry registers under the unprefixed single-board names.
-    ///
-    /// # Panics
-    ///
-    /// If the fleet already has a board — solo means exactly one.
-    pub fn add_solo_board(&mut self, engine: Engine, name: &str, ip: Ipv4) -> usize {
-        assert!(self.slots.is_empty(), "solo fleet holds exactly one board");
-        self.solo = true;
-        let host = SimHost::attach(&self.world, name, ip);
-        let mut board = Board::with_engine(engine);
-        board.bind_telemetry(self.world.borrow().telemetry());
-        board.attach_nic(Nic::simulated(host.clone()));
-        self.slots.push(Slot {
-            board,
-            host,
-            target: 0,
-            state: BoardState::Running,
-        });
-        0
-    }
-
-    /// Adds board `len()` to an epoch-scheduled fleet: a passive NIC
-    /// backend (only this scheduler advances the clock) and telemetry
-    /// namespaced under `board<idx>.`.
-    ///
-    /// # Panics
-    ///
-    /// If the fleet was opened in solo mode.
+    /// Adds board `len()`: a passive NIC backend (only this scheduler
+    /// advances the clock) and telemetry namespaced under `board<idx>.`.
     pub fn add_board(&mut self, engine: Engine, name: &str, ip: Ipv4) -> usize {
-        assert!(!self.solo, "solo fleet holds exactly one board");
         let idx = self.slots.len();
         let host = SimHost::attach(&self.world, name, ip);
         let mut board = Board::with_engine(engine);
@@ -226,24 +180,14 @@ impl Fleet {
     /// The caller must also black out the board's link (the host-side
     /// TCP stack would otherwise answer SYNs for the frozen board); the
     /// fleet fault driver does both.
-    ///
-    /// # Panics
-    ///
-    /// If called on a solo fleet.
     pub fn wedge(&mut self, i: usize) {
-        assert!(!self.solo, "faults drive multi-board fleets");
         self.slots[i].state = BoardState::Wedged;
     }
 
     /// Resurrects a wedged board. Lost time is lost: the cycle target
     /// snaps to the board's frozen cycle count, so the board resumes
     /// from where it stopped instead of replaying the missed epochs.
-    ///
-    /// # Panics
-    ///
-    /// If called on a solo fleet.
     pub fn resurrect(&mut self, i: usize) {
-        assert!(!self.solo, "faults drive multi-board fleets");
         let s = &mut self.slots[i];
         s.state = BoardState::Running;
         s.target = s.board.cpu.cycles;
@@ -254,37 +198,6 @@ impl Fleet {
         (0..self.slots.len()).all(|i| self.parked(i))
     }
 
-    /// One legacy solo pump: run up to `run_chunk` cycles; on halt,
-    /// offer the host a hook (console probes) and burn `idle_chunk`
-    /// halted cycles. Byte-identical to the pre-fleet driver loops.
-    ///
-    /// # Panics
-    ///
-    /// If the firmware stops for any reason other than halting.
-    pub fn solo_pump(&mut self, run_chunk: u64, idle_chunk: u64, on_halt: impl FnOnce(&mut Board)) {
-        assert!(self.solo, "solo_pump drives a solo fleet");
-        let board = &mut self.slots[0].board;
-        match board.run(run_chunk) {
-            RunOutcome::Halted => {
-                on_halt(board);
-                board.idle(idle_chunk);
-            }
-            RunOutcome::BudgetExhausted => {}
-            other => panic!("firmware stopped: {other:?}"),
-        }
-    }
-
-    /// One legacy solo teardown step: run, and idle if halted. Unlike
-    /// [`Fleet::solo_pump`] a non-halt stop is ignored, matching the
-    /// pre-fleet teardown loops.
-    pub fn solo_settle(&mut self, run_chunk: u64, idle_chunk: u64) {
-        assert!(self.solo, "solo_settle drives a solo fleet");
-        let board = &mut self.slots[0].board;
-        if board.run(run_chunk) == RunOutcome::Halted {
-            board.idle(idle_chunk);
-        }
-    }
-
     /// Runs one epoch: the world first reaches the epoch's end, then
     /// every board — visited in `order` — executes its cycle slice up to
     /// the barrier. `order` must name each board exactly once; any
@@ -292,10 +205,8 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// If called on a solo fleet, or a board's firmware stops for any
-    /// reason other than halting.
+    /// If a board's firmware stops for any reason other than halting.
     pub fn run_epoch(&mut self, order: &[usize]) {
-        assert!(!self.solo, "the epoch scheduler drives multi-board fleets");
         debug_assert_eq!(
             {
                 let mut o = order.to_vec();
@@ -346,7 +257,6 @@ impl Fleet {
     /// soonest device deadline, so nothing observable lands inside the
     /// skipped window. Returns the number of epochs skipped.
     pub fn fast_forward(&mut self, max_epochs: u64) -> u64 {
-        assert!(!self.solo, "the epoch scheduler drives multi-board fleets");
         if max_epochs == 0 || self.slots.is_empty() || !self.all_parked() {
             return 0;
         }
@@ -446,11 +356,15 @@ pub struct FleetSpec {
     /// SHA-1/KDF burst keeps the wire silent for hundreds of virtual
     /// ms). `None` never stalls a session out.
     pub lb_stall_timeout_us: Option<u64>,
+    /// Attach the E10 cycle profiler to every board; each
+    /// [`BoardReport::profile`] then carries that board's cycles by
+    /// function.
+    pub profile: bool,
 }
 
 impl FleetSpec {
     /// A spec with the common defaults: round-robin, secure firmware,
-    /// no probes, no dead links, index visit order.
+    /// no probes, no dead links, index visit order, no profiler.
     #[must_use]
     pub fn new(engine: Engine, boards: usize, psk: &[u8], clients: Vec<GuestClient>) -> FleetSpec {
         FleetSpec {
@@ -467,6 +381,7 @@ impl FleetSpec {
             dials: Vec::new(),
             lb_retry_after_us: None,
             lb_stall_timeout_us: None,
+            profile: false,
         }
     }
 }
@@ -492,6 +407,9 @@ pub struct BoardReport {
     pub alert_kinds: [u16; 3],
     /// Serial console output.
     pub serial_tx: Vec<u8>,
+    /// Cycle attribution by function, when [`FleetSpec::profile`] was
+    /// set.
+    pub profile: Option<ProfileReport>,
 }
 
 /// Result of one balanced fleet serving run.
@@ -643,6 +561,9 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         let board = fleet.board_mut(b);
         board.load(&build.image);
         board.set_pc(dcc::layout::CODE_ORG);
+        if spec.profile {
+            board.cpu.enable_profiler();
+        }
         if let FleetFirmware::SecureEcho { psk } = &spec.firmware {
             assert!(psk.len() <= 64, "guest PSK buffer is 64 bytes");
             let psk_phys = build.symbol_phys("_psk").expect("C global `psk`");
@@ -833,6 +754,11 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
 
     let reports: Vec<BoardReport> = (0..spec.boards)
         .map(|i| {
+            let profile = fleet
+                .board_mut(i)
+                .cpu
+                .take_profiler()
+                .map(|p| p.report(&guest_symbols(&build)));
             let board = fleet.board(i);
             let conns = match &spec.firmware {
                 FleetFirmware::PlainEcho => Vec::new(),
@@ -862,12 +788,14 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
                 conns,
                 alert_kinds,
                 serial_tx: board.serial().transmitted().to_vec(),
+                profile,
             }
         })
         .collect();
 
     // Publish the guests' counters into the shared registry under their
-    // board namespaces, mirroring what `secure_serve` does for board 0.
+    // board namespaces, so the snapshot carries handshake, record and
+    // alert counts per handle.
     {
         let w = world.borrow();
         let reg = w.telemetry();
@@ -911,22 +839,27 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
     }
 }
 
-/// The fault-scripted fleet driver: [`fleet_serve`] under a non-empty
-/// [`FaultPlan`]. The separate entry point exists so fault scenarios
-/// read as what they are; the scheduling machinery is shared, and a
-/// plan-free spec is rejected rather than silently running a vanilla
-/// serve.
-///
-/// # Panics
-///
-/// If `spec.faults` is empty, a board's firmware faults, or the session
-/// does not converge.
-pub fn fleet_faults(spec: &FleetSpec) -> FleetRun {
-    assert!(
-        !spec.faults.is_empty(),
-        "fleet_faults wants a fault plan; use fleet_serve for fault-free runs"
-    );
-    fleet_serve(spec)
+/// The firmware's symbols for profile folding. `dcc`'s generated branch
+/// labels (`L<digit>...`) are dropped: they would fragment each C
+/// function's cycles across its basic blocks. Everything else stays —
+/// `_name` C functions and runtime helpers, and the AES module's named
+/// internals (`encrypt`, `subshift`, ...), so nearest-label-below
+/// resolution folds blocks into functions without hiding where the
+/// assembly spends its time.
+fn guest_symbols(build: &dcc::Build) -> SymbolTable {
+    let local = |n: &str| {
+        n.strip_prefix('L')
+            .and_then(|r| r.chars().next())
+            .is_some_and(|c| c.is_ascii_digit())
+    };
+    SymbolTable::from_pairs(
+        build
+            .image
+            .symbols
+            .iter()
+            .filter(|(n, _)| !local(n))
+            .map(|(n, &a)| (n.as_str(), a)),
+    )
 }
 
 #[cfg(test)]

@@ -9,10 +9,12 @@
 //! `sockets::dynic` models the kit's TCP/IP *API* for host-compiled
 //! firmware logic, while this crate runs *guest instructions* against the
 //! simulated network — the [`nic::Nic`] device converts executed cycles
-//! to virtual microseconds, so the board and the `netsim` world share one
-//! deterministic clock. Assembled firmware (see [`firmware`]) serves real
-//! TCP traffic to `netsim` clients through `ioe`-mapped packet windows;
-//! [`echo::run_echo`] is the reference end-to-end session.
+//! to virtual microseconds and serves TCP through `ioe`-mapped packet
+//! windows. The [`fleet::Fleet`] scheduler owns the `netsim` world's
+//! clock and advances every board in lockstep epochs, so boards and
+//! network share one deterministic timeline. [`fleet_serve`] is the one
+//! serving driver: compiled-C firmware ([`serve`], [`secure`]) on one or
+//! more boards behind a load balancer, against host-side clients.
 //!
 //! ```
 //! use rmc2000::{Board, RunOutcome};
@@ -30,7 +32,6 @@
 //! ```
 
 pub mod board;
-pub mod echo;
 pub mod faults;
 pub mod firmware;
 pub mod fleet;
@@ -42,16 +43,16 @@ pub mod serve;
 pub use board::{Board, BoardCounters, Rtc, RunOutcome};
 pub use faults::{AppliedFault, FaultEvent, FaultPlan, FaultReport, ScheduledFault};
 pub use fleet::{
-    fleet_faults, fleet_serve, BackendStats, BoardReport, BoardState, Fleet, FleetFirmware,
-    FleetRun, FleetSpec, LbPolicy, EPOCH_CYCLES, EPOCH_US,
+    fleet_serve, BackendStats, BoardReport, BoardState, Fleet, FleetFirmware, FleetRun, FleetSpec,
+    LbPolicy, EPOCH_CYCLES, EPOCH_US,
 };
 pub use nic::{Nic, NicBackend, NicCounters, SimBackend, NIC_VECTOR};
 pub use secure::{
-    build_secure_firmware, secure_serve, ClientOutcome, ConnCounters, GuestClient, SecureRun,
-    Tamper, ALERT_KIND_LABELS, SECURE_PORT,
+    build_secure_firmware, ClientOutcome, ConnCounters, GuestClient, Tamper, ALERT_KIND_LABELS,
+    SECURE_PORT,
 };
 pub use serial::{SerialPort, SERIAL_A_VECTOR};
-pub use serve::{serve_clients, ServeRun, SERVE_PORT};
+pub use serve::SERVE_PORT;
 
 // The loader's address convention is the repo-wide one (shared with the
 // `dcc` harness); re-exported so existing `rmc2000::load_phys` callers

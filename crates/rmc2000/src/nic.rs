@@ -9,12 +9,14 @@
 //! exchanges through the rings are TCP payload chunks. Guest cycles drive
 //! the backend's *local* clock — [`Nic::tick`] converts CPU cycles to
 //! microseconds at [`CYCLES_PER_US`] (the repo-wide 30 MHz board clock).
-//! Whether that local clock also drags the shared `netsim` world along is
-//! the [`ClockMode`] contract: a solo board follows the legacy lockstep
-//! ([`ClockMode::Follow`]), while fleet boards are passive participants
-//! whose world is advanced only by the `rmc2000::fleet` scheduler —
-//! either way instruction execution and packet delivery share one
-//! deterministic timeline.
+//!
+//! There is one clock contract: the backend is a passive participant in
+//! the shared `netsim` world. It reads `now` and moves bytes, but never
+//! advances time; the `rmc2000::fleet` scheduler owns the world clock and
+//! brings it to each epoch boundary before any board's local clock gets
+//! there, so instruction execution and packet delivery share one
+//! deterministic timeline. Code that drives a board without a fleet must
+//! advance the world itself, world first.
 //!
 //! # Connection handles
 //!
@@ -26,11 +28,21 @@
 //! `LISTEN` opens the listening socket, `STATUS_ACCEPT_READY` reports a
 //! connection waiting in the backlog, and `ACCEPT` binds it to the
 //! selected (free) handle. A command that cannot succeed — `TX_GO` or
-//! `CLOSE` on an unopened handle, `ACCEPT` onto an occupied one or with
-//! nothing pending, a second `LISTEN`, `RX_NEXT` with an empty queue —
-//! changes nothing and sets [`STATUS_ERR`]. The full register map lives
-//! in [`rabbit::nicmap`], shared with the firmware shims and the `dcc`
+//! `CLOSE` on an unopened handle, `TX_GO` with a `TXLEN` above
+//! [`FRAME_MAX`], `ACCEPT` onto an occupied one or with nothing pending,
+//! a second `LISTEN`, `RX_NEXT` with an empty queue — changes nothing and
+//! sets [`STATUS_ERR`]. The full register map lives in
+//! [`rabbit::nicmap`], shared with the firmware shims and the `dcc`
 //! intrinsics.
+//!
+//! Refusing an oversized `TX_GO` means a frame's tail is never silently
+//! lost, but the guest that provokes it still stalls: the secure server
+//! sends each record with one `nic_send`, so a 976-byte message (a
+//! 1031-byte record) is refused and its client waits forever. The
+//! `fleetbench` workloads cap secure messages at 975 bytes for that
+//! reason. The cure is chunking in the guest's `send_rec`; that changes
+//! the compiled firmware's code size, so it has to land together with
+//! re-blessed `fleetbench` expectations.
 //!
 //! # Interrupt
 //!
@@ -46,16 +58,16 @@
 //!
 //! The bus delivers exact cycle totals at every `ioi`/`ioe` access (which
 //! are barriers in the block-caching engine), but the two engines tick in
-//! different chunkings. The NIC therefore advances the world and polls
-//! for received data only at fixed virtual-time boundaries (every
+//! different chunkings. The NIC therefore polls the backend for received
+//! data only at fixed virtual-time boundaries (every
 //! [`POLL_PERIOD_US`]); boundary crossings depend only on the cycle
 //! *total*, so frame chunking — and hence every guest-visible register —
 //! is byte-identical under `Engine::Interpreter` and
 //! `Engine::BlockCache`. The interrupt level is recomputed only at poll
 //! boundaries and at register writes (both cycle-exact points); status
 //! reads query the backend live, which is equally deterministic because
-//! backend state only changes inside `advance` (driven by exact cycle
-//! totals) or guest commands.
+//! backend state only changes at epoch barriers (when the world's owner
+//! advances it) or through guest commands.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -140,7 +152,7 @@ pub trait NicBackend {
     }
 }
 
-/// Per-handle `net.board.conn.*` counters.
+/// Per-handle `board<i>.net.board.conn.*` counters.
 #[derive(Debug, Clone)]
 pub struct ConnCounters {
     /// Connections accepted onto this handle.
@@ -151,7 +163,7 @@ pub struct ConnCounters {
     pub tx_bytes: Counter,
 }
 
-/// The `net.board.*` telemetry counters the NIC maintains.
+/// The `board<i>.net.board.*` telemetry counters the NIC maintains.
 #[derive(Debug, Clone)]
 pub struct NicCounters {
     /// Frames delivered to the guest.
@@ -174,36 +186,9 @@ pub struct NicCounters {
 const CONN_LABELS: [&str; MAX_CONNS] = ["0", "1", "2"];
 
 impl NicCounters {
-    /// Registers the counters in `registry` under the single-board names
-    /// (`net.board.*`), and aliases each cell under the board-namespaced
-    /// name (`board0.net.board.*`) — so the E11–E14 snapshots keep their
-    /// historical keys while fleet-era tooling can address the same cells
-    /// uniformly. Idempotent: fetches the existing cells on a second
-    /// call.
-    pub fn register(registry: &telemetry::Registry) -> NicCounters {
-        let c = NicCounters {
-            rx_frames: registry.counter("net.board.rx_frames", &[]),
-            rx_bytes: registry.counter("net.board.rx_bytes", &[]),
-            tx_frames: registry.counter("net.board.tx_frames", &[]),
-            tx_bytes: registry.counter("net.board.tx_bytes", &[]),
-            irqs: registry.counter("net.board.irqs", &[]),
-            cmd_errors: registry.counter("net.board.cmd_errors", &[]),
-            conn: CONN_LABELS
-                .iter()
-                .map(|l| ConnCounters {
-                    accepts: registry.counter("net.board.conn.accepts", &[("conn", l)]),
-                    rx_bytes: registry.counter("net.board.conn.rx_bytes", &[("conn", l)]),
-                    tx_bytes: registry.counter("net.board.conn.tx_bytes", &[("conn", l)]),
-                })
-                .collect(),
-        };
-        c.alias(registry, 0);
-        c
-    }
-
-    /// Registers the counters under board-namespaced names only
-    /// (`board<idx>.net.board.*`) — the fleet form, where several boards
-    /// share one registry and the single-board names would collide.
+    /// Registers the counters under board-namespaced names
+    /// (`board<idx>.net.board.*`), so boards sharing one registry never
+    /// collide.
     pub fn register_board(registry: &telemetry::Registry, idx: usize) -> NicCounters {
         let p = |name: &str| format!("board{idx}.{name}");
         NicCounters {
@@ -221,23 +206,6 @@ impl NicCounters {
                     tx_bytes: registry.counter(&p("net.board.conn.tx_bytes"), &[("conn", l)]),
                 })
                 .collect(),
-        }
-    }
-
-    /// Aliases every cell under `board<idx>.`-prefixed names.
-    fn alias(&self, registry: &telemetry::Registry, idx: usize) {
-        let p = |name: &str| format!("board{idx}.{name}");
-        let _ = registry.alias_counter(&p("net.board.rx_frames"), &[], &self.rx_frames);
-        let _ = registry.alias_counter(&p("net.board.rx_bytes"), &[], &self.rx_bytes);
-        let _ = registry.alias_counter(&p("net.board.tx_frames"), &[], &self.tx_frames);
-        let _ = registry.alias_counter(&p("net.board.tx_bytes"), &[], &self.tx_bytes);
-        let _ = registry.alias_counter(&p("net.board.irqs"), &[], &self.irqs);
-        let _ = registry.alias_counter(&p("net.board.cmd_errors"), &[], &self.cmd_errors);
-        for (l, c) in CONN_LABELS.iter().zip(&self.conn) {
-            let labels = [("conn", *l)];
-            let _ = registry.alias_counter(&p("net.board.conn.accepts"), &labels, &c.accepts);
-            let _ = registry.alias_counter(&p("net.board.conn.rx_bytes"), &labels, &c.rx_bytes);
-            let _ = registry.alias_counter(&p("net.board.conn.tx_bytes"), &labels, &c.tx_bytes);
         }
     }
 
@@ -312,34 +280,18 @@ impl Nic {
         }
     }
 
-    /// A NIC attached to a `netsim` host under the legacy solo contract:
-    /// the backend's clock drives the world ([`ClockMode::Follow`]), and
-    /// the counters register under the single-board `net.board.*` names
-    /// (aliased as `board0.net.board.*`).
-    pub fn simulated(host: SimHost) -> Nic {
-        let counters = {
-            let world = host.world();
-            let world = world.borrow();
-            NicCounters::register(world.telemetry())
-        };
-        Nic::with_counters(Box::new(SimBackend::new(host)), counters)
-    }
-
     /// A NIC attached to a `netsim` host as fleet board `idx`: the
-    /// backend is a passive world participant ([`ClockMode::Passive`] —
-    /// only the fleet scheduler advances time) and the counters register
-    /// under `board<idx>.net.board.*` so boards sharing one registry
-    /// never collide.
+    /// backend is a passive world participant (whoever owns the world
+    /// advances time) and the counters register under
+    /// `board<idx>.net.board.*` so boards sharing one registry never
+    /// collide.
     pub fn fleet_attached(host: SimHost, idx: usize) -> Nic {
         let counters = {
             let world = host.world();
             let world = world.borrow();
             NicCounters::register_board(world.telemetry(), idx)
         };
-        Nic::with_counters(
-            Box::new(SimBackend::with_mode(host, ClockMode::Passive)),
-            counters,
-        )
+        Nic::with_counters(Box::new(SimBackend::passive(host)), counters)
     }
 
     /// The counters this NIC reports through.
@@ -355,12 +307,6 @@ impl Nic {
     /// Frames waiting in `handle`'s receive ring.
     pub fn rx_pending_on(&self, handle: usize) -> usize {
         self.rx[handle].len()
-    }
-
-    /// Handles currently bound to a connection — the board's concurrent
-    /// connection count, sampled by host-side drivers.
-    pub fn open_handles(&self) -> usize {
-        (0..MAX_CONNS).filter(|&h| self.backend.open(h)).count()
     }
 
     /// Recomputes the level-ish interrupt line after a state change. Only
@@ -411,10 +357,10 @@ impl Nic {
                 self.listening
             }
             CMD_TX_GO => {
-                if !self.backend.open(h) {
+                let len = usize::from(self.tx_len);
+                if !self.backend.open(h) || len > FRAME_MAX {
                     return false;
                 }
-                let len = usize::from(self.tx_len).min(FRAME_MAX);
                 self.counters.tx_frames.inc();
                 self.counters.tx_bytes.add(len as u64);
                 self.counters.conn[h].tx_bytes.add(len as u64);
@@ -619,31 +565,14 @@ struct SimConn {
     pending_tx: Vec<u8>,
 }
 
-/// Who advances the shared world's clock when this backend's board
-/// makes progress. The policy is chosen by whoever assembles the world —
-/// the backend itself only *reports* its local time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockMode {
-    /// The legacy one-board contract: the world's clock follows this
-    /// board's local clock exactly (every advance drags
-    /// [`netsim::World::run_for`] along). Only valid while this board is
-    /// the world's sole clock driver — the contract
-    /// [`crate::fleet`] exists to replace.
-    Follow,
-    /// A fleet participant: advances accumulate in the backend's local
-    /// clock only; the `rmc2000::fleet` scheduler owns the world's clock
-    /// and moves it at epoch boundaries.
-    Passive,
-}
-
 /// The production backend: a TCP-offload attachment to a `netsim` host
 /// (see [`SimHost`]). One listener, a handle table of up to
 /// [`MAX_CONNS`] concurrent connections; bytes a send buffer rejects are
-/// retried on the next poll. The backend never decides when world time
-/// moves — that is the [`ClockMode`] chosen at construction.
+/// retried on the next poll. The backend never moves world time: its
+/// advances accumulate in a local clock only, and the world's owner (the
+/// `rmc2000::fleet` scheduler) moves the world at epoch boundaries.
 pub struct SimBackend {
     host: SimHost,
-    mode: ClockMode,
     /// This board's local clock: microseconds of `advance` accumulated.
     local_us: u64,
     listener: Option<SocketId>,
@@ -655,17 +584,10 @@ pub struct SimBackend {
 const LISTEN_BACKLOG: usize = 8;
 
 impl SimBackend {
-    /// Wraps a host handle under the legacy [`ClockMode::Follow`]
-    /// contract (this board drives the world's clock).
-    pub fn new(host: SimHost) -> SimBackend {
-        SimBackend::with_mode(host, ClockMode::Follow)
-    }
-
-    /// Wraps a host handle with an explicit clock-ownership policy.
-    pub fn with_mode(host: SimHost, mode: ClockMode) -> SimBackend {
+    /// Wraps a host handle as a passive world participant.
+    pub fn passive(host: SimHost) -> SimBackend {
         SimBackend {
             host,
-            mode,
             local_us: 0,
             listener: None,
             conns: (0..MAX_CONNS).map(|_| None).collect(),
@@ -685,26 +607,13 @@ impl SimBackend {
 impl NicBackend for SimBackend {
     fn advance(&mut self, us: u64) {
         self.local_us += us;
-        match self.mode {
-            ClockMode::Follow => {
-                // The world follows this board exactly — the legacy
-                // solo contract, byte-for-byte.
-                let now = self.host.now();
-                if self.local_us > now {
-                    self.host.advance(self.local_us - now);
-                }
-            }
-            ClockMode::Passive => {
-                // The fleet scheduler owns the clock; debug builds check
-                // it kept its side of the contract (the world reaches a
-                // poll boundary before any board's local clock crosses
-                // it by a full period).
-                debug_assert!(
-                    self.local_us <= self.host.now() + POLL_PERIOD_US,
-                    "fleet scheduler fell behind board local clock"
-                );
-            }
-        }
+        // The world's owner moves the clock; debug builds check it kept
+        // its side of the contract (the world reaches a poll boundary
+        // before any board's local clock crosses it by a full period).
+        debug_assert!(
+            self.local_us <= self.host.now() + POLL_PERIOD_US,
+            "world clock fell behind board local clock"
+        );
     }
 
     fn listen(&mut self, port: u16) -> bool {
@@ -803,10 +712,9 @@ impl NicBackend for SimBackend {
         // its next scheduled event (delivery, retransmit, timer) — a
         // lower bound on any observable poll. An empty event queue means
         // nothing will ever arrive until the guest transmits. The bound
-        // is relative to this board's *local* clock (identical to the
-        // world's under `ClockMode::Follow`; at most one epoch apart
-        // under the fleet scheduler, where the hint is only consulted at
-        // epoch boundaries with the clocks aligned).
+        // is relative to this board's *local* clock (at most one epoch
+        // behind the world's; the fleet scheduler only consults the hint
+        // at epoch boundaries, with the clocks aligned).
         self.host
             .next_event_us()
             .map(|t| t.saturating_sub(self.local_us))
@@ -970,6 +878,30 @@ mod tests {
         assert_eq!(script.borrow().tx, vec![(0, b"ping".to_vec())]);
         assert_eq!(nic.counters().tx_bytes.get(), 4);
         assert_eq!(nic.counters().conn[0].tx_bytes.get(), 4);
+    }
+
+    #[test]
+    fn oversized_tx_go_is_refused_not_clamped() {
+        let (mut nic, script) = scripted_open();
+        let set_len = |nic: &mut Nic, len: usize| {
+            nic.write(NIC_TXLEN_LO, len as u8, true);
+            nic.write(NIC_TXLEN_HI, (len >> 8) as u8, true);
+        };
+        // One byte over the window: nothing leaves, the error latches.
+        set_len(&mut nic, FRAME_MAX + 1);
+        nic.write(NIC_CMD, CMD_TX_GO, true);
+        assert_ne!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
+        assert!(script.borrow().tx.is_empty(), "no truncated frame sent");
+        assert_eq!(nic.counters().tx_frames.get(), 0);
+        assert_eq!(nic.counters().tx_bytes.get(), 0);
+        assert_eq!(nic.counters().cmd_errors.get(), 1);
+        // A full window is still legal.
+        set_len(&mut nic, FRAME_MAX);
+        nic.write(NIC_CMD, CMD_TX_GO, true);
+        assert_eq!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
+        assert_eq!(script.borrow().tx.len(), 1);
+        assert_eq!(script.borrow().tx[0].1.len(), FRAME_MAX);
+        assert_eq!(nic.counters().cmd_errors.get(), 1);
     }
 
     #[test]

@@ -22,24 +22,17 @@
 //! across the interpreter and block-cache engines; the tier-1 suites
 //! assert it.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use crypto::Prng;
 use issl::recmap;
 use issl::{CipherSuite, ClientConfig, ClientKx, SessionMachine};
-use netsim::{Endpoint, Ipv4, LinkParams, Recv, SimHost, SocketId, World};
+use netsim::{Recv, SimHost, SocketId};
 use rabbit::nicmap::{
     MAX_CONNS, STATUS_ACCEPT_READY, STATUS_ERR, STATUS_PEER_CLOSED, STATUS_RX_AVAIL,
     STATUS_TX_READY,
 };
-use rabbit::Engine;
-use telemetry::{ProfileReport, SymbolTable};
 
 use crate::nic::NIC_VECTOR;
 use crate::serial::SERIAL_A_VECTOR;
-use crate::serve::SERIAL_PROBE;
-use crate::RunOutcome;
 
 /// TCP port the secure server listens on.
 pub const SECURE_PORT: u16 = 443;
@@ -704,7 +697,7 @@ pub fn build_secure_firmware(opts: dcc::Options) -> dcc::Build {
 }
 
 // ---------------------------------------------------------------------------
-// Host-side driver
+// Host-side clients
 // ---------------------------------------------------------------------------
 
 /// A deliberate protocol violation a test client commits against the
@@ -722,7 +715,7 @@ pub enum Tamper {
     TruncateAfterHeader,
 }
 
-/// One host-side client in a [`secure_serve`] session.
+/// One host-side client in a [`crate::fleet_serve`] run.
 #[derive(Debug, Clone)]
 pub enum GuestClient {
     /// A sans-I/O `issl` client machine doing the full PSK handshake and
@@ -794,39 +787,6 @@ pub struct ConnCounters {
 /// corruption draws), `w=1` the unsupported-suite alert, `w=2` the
 /// bad-Finished alert (wrong credential).
 pub const ALERT_KIND_LABELS: [&str; 3] = ["close", "suite", "finished"];
-
-/// Result of one multi-client secure serving session.
-#[derive(Debug)]
-pub struct SecureRun {
-    /// Per-client observations, in `clients` order.
-    pub outcomes: Vec<ClientOutcome>,
-    /// Per-handle guest counters, read back from the C globals.
-    pub conns: Vec<ConnCounters>,
-    /// Guest alerts by reason code, read back from the C `alert_kind`
-    /// array (see [`ALERT_KIND_LABELS`]).
-    pub alert_kinds: [u16; 3],
-    /// Guest `naccepts` counter.
-    pub accepts: u16,
-    /// Guest `nopen` counter — 0 after an orderly teardown.
-    pub open: u16,
-    /// Guest cycles consumed (including halted idle cycles).
-    pub cycles: u64,
-    /// Guest instructions executed.
-    pub instructions: u64,
-    /// Final virtual time of the shared world, in microseconds.
-    pub virtual_us: u64,
-    /// Serial console output (`S<open-handles>\n` probe answers).
-    pub serial_tx: Vec<u8>,
-    /// Deterministic text snapshot of the world telemetry, including the
-    /// `issl.guest.*` counters this driver publishes.
-    pub snapshot: String,
-    /// Root code size of the compiled firmware, in bytes.
-    pub code_size: usize,
-    /// Total bytes echoed back across all clients.
-    pub echoed_bytes: u64,
-    /// Cycle attribution by symbol, when profiling was requested.
-    pub profile: Option<ProfileReport>,
-}
 
 pub(crate) enum Mode {
     Secure {
@@ -1056,8 +1016,7 @@ pub(crate) fn step_client(host: &mut SimHost, conn: SocketId, st: &mut Cs) {
 
 /// Builds the per-client driver state for `clients`, in order. The PRNG
 /// seed depends only on the client index, so the same workload produces
-/// the same ClientHello bytes in every driver ([`secure_serve`] and the
-/// fleet driver share this).
+/// the same ClientHello bytes in every run.
 pub(crate) fn client_states(clients: &[GuestClient]) -> Vec<Cs> {
     clients
         .iter()
@@ -1124,194 +1083,6 @@ pub(crate) fn client_states(clients: &[GuestClient]) -> Vec<Cs> {
         .collect()
 }
 
-/// Runs the compiled-C secure server against `clients.len()` concurrent
-/// host-side clients; `psk` is the credential poked into the board's C
-/// globals before boot. Mirrors [`crate::serve::serve_clients`]: console
-/// probes are injected only against a halted CPU, so every observable is
-/// a deterministic function of the workload — identical on both engines.
-///
-/// # Panics
-///
-/// If `psk` exceeds the guest's 64-byte key buffer, the firmware faults,
-/// or the session does not converge.
-pub fn secure_serve(
-    engine: Engine,
-    opts: dcc::Options,
-    psk: &[u8],
-    clients: &[GuestClient],
-    probe_gap_us: Option<u64>,
-    profile: bool,
-) -> SecureRun {
-    assert!(psk.len() <= 64, "guest PSK buffer is 64 bytes");
-    let build = build_secure_firmware(opts);
-
-    let world = Rc::new(RefCell::new(World::new(42)));
-    let mut fleet = crate::fleet::Fleet::new(&world);
-    let b = fleet.add_solo_board(engine, "rmc2000", Ipv4::new(10, 0, 0, 1));
-    let board_ip = fleet.ip(b);
-    let board_id = fleet.host(b).id();
-    let mut hosts: Vec<SimHost> = (0..clients.len())
-        .map(|i| {
-            let ip = Ipv4::new(10, 0, 0, 2 + u8::try_from(i).expect("few clients"));
-            let host = SimHost::attach(&world, "client", ip);
-            world
-                .borrow_mut()
-                .link(board_id, host.id(), LinkParams::ethernet_10base_t());
-            host
-        })
-        .collect();
-
-    let board = fleet.board_mut(b);
-    board.load(&build.image);
-    board.set_pc(dcc::layout::CODE_ORG);
-    if profile {
-        board.cpu.enable_profiler();
-    }
-
-    // Poke the credential into the guest's C globals: root data lives in
-    // SRAM, and `Memory::load` models the kit's programming port.
-    let psk_phys = build.symbol_phys("_psk").expect("C global `psk`");
-    board.mem.load(psk_phys, psk);
-    let psklen_phys = build.symbol_phys("_psklen").expect("C global `psklen`");
-    board
-        .mem
-        .load(psklen_phys, &(psk.len() as u16).to_le_bytes());
-
-    // Boot: main seeds the PRNG, configures serial + NIC, parks in idle().
-    assert_eq!(board.run(200_000), RunOutcome::Halted, "firmware boots");
-
-    let conns: Vec<SocketId> = hosts
-        .iter_mut()
-        .map(|h| h.connect(Endpoint::new(board_ip, SECURE_PORT)))
-        .collect();
-
-    let mut state: Vec<Cs> = client_states(clients);
-
-    const RUN_CHUNK: u64 = 2_000;
-    const IDLE_CHUNK: u64 = 100 * crate::nic::CYCLES_PER_US;
-    const MAX_CYCLES: u64 = 800_000_000;
-
-    let mut next_probe_us = probe_gap_us.unwrap_or(0);
-
-    while state.iter().any(|s| !s.done) {
-        assert!(
-            fleet.board(b).cpu.cycles < MAX_CYCLES,
-            "secure serve session did not converge"
-        );
-        fleet.solo_pump(RUN_CHUNK, IDLE_CHUNK, |board| {
-            if let Some(gap) = probe_gap_us {
-                if world.borrow().now() >= next_probe_us {
-                    board.serial_mut().inject(SERIAL_PROBE);
-                    next_probe_us = world.borrow().now() + gap;
-                }
-            }
-        });
-        for ((host, &conn), st) in hosts.iter_mut().zip(&conns).zip(state.iter_mut()) {
-            if !st.done {
-                step_client(host, conn, st);
-            }
-        }
-    }
-
-    // Orderly teardown: the guest observes the FINs and frees its handles.
-    for _ in 0..40 {
-        fleet.solo_settle(RUN_CHUNK, IDLE_CHUNK);
-    }
-    let board = fleet.board_mut(b);
-
-    let read_arr = |name: &str, idx: usize| -> u16 {
-        let phys = build.symbol_phys(name).expect("C global exists") + 2 * idx as u32;
-        u16::from_le_bytes([board.mem.read_phys(phys), board.mem.read_phys(phys + 1)])
-    };
-    let conn_counters: Vec<ConnCounters> = (0..MAX_CONNS)
-        .map(|h| ConnCounters {
-            handshakes: read_arr("_hs_ok", h),
-            records_in: read_arr("_rec_in", h),
-            records_out: read_arr("_rec_out", h),
-            alerts: read_arr("_alerts", h),
-        })
-        .collect();
-    let accepts = read_arr("_naccepts", 0);
-    let open = read_arr("_nopen", 0);
-    let alert_kinds = [
-        read_arr("_alert_kind", 0),
-        read_arr("_alert_kind", 1),
-        read_arr("_alert_kind", 2),
-    ];
-
-    // Publish the guest's counters into the shared registry so the
-    // snapshot carries handshake/record/alert counts per handle.
-    {
-        let w = world.borrow();
-        let reg = w.telemetry();
-        for (h, c) in conn_counters.iter().enumerate() {
-            let hl = h.to_string();
-            let labels = [("conn", hl.as_str())];
-            for (name, v) in [
-                ("issl.guest.handshakes", u64::from(c.handshakes)),
-                ("issl.guest.records.in", u64::from(c.records_in)),
-                ("issl.guest.records.out", u64::from(c.records_out)),
-                ("issl.guest.alerts", u64::from(c.alerts)),
-            ] {
-                let counter = reg.counter(name, &labels);
-                // A single-board run is board 0 of a one-board fleet: the
-                // namespaced key shares the legacy counter's cell.
-                reg.alias_counter(&format!("board0.{name}"), &labels, &counter);
-                counter.add(v);
-            }
-        }
-        for (kind, &v) in ALERT_KIND_LABELS.iter().zip(&alert_kinds) {
-            let labels = [("kind", *kind)];
-            let counter = reg.counter("issl.guest.alerts.kind", &labels);
-            reg.alias_counter("board0.issl.guest.alerts.kind", &labels, &counter);
-            counter.add(u64::from(v));
-        }
-    }
-
-    let profile_report = board.cpu.take_profiler().map(|p| {
-        // Drop `dcc`'s generated branch labels (`L<n>_...`): they would
-        // fragment each C function's cycles across its basic blocks.
-        // Everything else stays — `_name` C functions and runtime
-        // helpers, and the AES module's named internals (`encrypt`,
-        // `subshift`, ...), so nearest-label-below resolution folds
-        // blocks into functions without hiding where the assembly
-        // spends its time.
-        let local = |n: &str| {
-            n.strip_prefix('L')
-                .and_then(|r| r.chars().next())
-                .is_some_and(|c| c.is_ascii_digit())
-        };
-        let syms = SymbolTable::from_pairs(
-            build
-                .image
-                .symbols
-                .iter()
-                .filter(|(n, _)| !local(n))
-                .map(|(n, &a)| (n.as_str(), a)),
-        );
-        p.report(&syms)
-    });
-
-    let snapshot = world.borrow().telemetry().snapshot().to_text();
-    let virtual_us = world.borrow().now();
-    let echoed_bytes = state.iter().map(|s| s.out.echoed.len() as u64).sum();
-    SecureRun {
-        outcomes: state.into_iter().map(|s| s.out).collect(),
-        conns: conn_counters,
-        alert_kinds,
-        accepts,
-        open,
-        cycles: board.cpu.cycles,
-        instructions: board.cpu.instructions,
-        virtual_us,
-        serial_tx: board.serial().transmitted().to_vec(),
-        snapshot,
-        code_size: build.code_size(),
-        echoed_bytes,
-        profile: profile_report,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Differential tests: the guest's 16-bit crypto vs the host reference
 // ---------------------------------------------------------------------------
@@ -1319,6 +1090,8 @@ pub fn secure_serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fleet_serve, FleetSpec};
+    use rabbit::Engine;
 
     /// The crypto half under a bare test `main`: mode 0 hashes
     /// `hbuf[0..hlen]`, mode 1 HMACs `hmsg` under `hkey`, mode 2 runs
@@ -1442,23 +1215,22 @@ mod tests {
     #[test]
     fn serves_one_secure_client_end_to_end() {
         let psk = b"paper psk";
-        let r = secure_serve(
+        let r = fleet_serve(&FleetSpec::new(
             Engine::Interpreter,
-            dcc::Options::all_optimizations(),
+            1,
             psk,
-            &[GuestClient::secure(&[b"secure echo!"], psk)],
-            None,
-            false,
-        );
+            vec![GuestClient::secure(&[b"secure echo!"], psk)],
+        ));
         assert_eq!(r.outcomes[0].echoed, b"secure echo!".to_vec());
         assert!(r.outcomes[0].established);
         assert_eq!(r.outcomes[0].error, None);
-        assert_eq!(r.conns[0].handshakes, 1);
-        assert_eq!(r.conns[0].records_in, 1);
-        assert_eq!(r.conns[0].records_out, 1);
-        assert_eq!(r.conns[0].alerts, 0);
-        assert_eq!(r.accepts, 1);
-        assert_eq!(r.open, 0, "teardown closed the handle");
-        assert!(r.snapshot.contains("issl.guest.handshakes"));
+        let b = &r.boards[0];
+        assert_eq!(b.conns[0].handshakes, 1);
+        assert_eq!(b.conns[0].records_in, 1);
+        assert_eq!(b.conns[0].records_out, 1);
+        assert_eq!(b.conns[0].alerts, 0);
+        assert_eq!(b.accepts, 1);
+        assert_eq!(b.open, 0, "teardown closed the handle");
+        assert!(r.snapshot.contains("board0.issl.guest.handshakes"));
     }
 }

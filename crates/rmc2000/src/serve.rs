@@ -1,30 +1,24 @@
-//! Multi-connection serving harness on *compiled C* firmware: the whole
-//! pipeline of the paper — C source → `dcc` compiler → Rabbit assembly →
-//! board → NIC register file → netsim TCP — serving several concurrent
-//! host-side clients at once.
+//! The plaintext echo server in *compiled C*: the whole pipeline of the
+//! paper — C source → `dcc` compiler → Rabbit assembly → board → NIC
+//! register file → netsim TCP — serving several concurrent host-side
+//! clients at once.
 //!
-//! Where [`crate::echo`] runs hand-written assembly for one connection,
-//! this module compiles a round-robin echo server written in the Dynamic
-//! C subset (`nic.h`-style intrinsics, `interrupt` service routines) and
-//! drives [`rabbit::nicmap::MAX_CONNS`] connection handles concurrently,
-//! with a serial-console status line as a second, higher-priority
-//! interrupt source. Everything observable — per-client transcripts,
-//! cycle counts, serial output, telemetry — is byte-identical across the
-//! interpreter and block-cache engines.
+//! The server is written in the Dynamic C subset (`nic.h`-style
+//! intrinsics, `interrupt` service routines) and drives
+//! [`rabbit::nicmap::MAX_CONNS`] connection handles concurrently, with a
+//! serial-console status line as a second, higher-priority interrupt
+//! source. [`crate::fleet_serve`] runs it as
+//! [`crate::FleetFirmware::PlainEcho`]; everything observable —
+//! per-client transcripts, cycle counts, serial output, telemetry — is
+//! byte-identical across the interpreter and block-cache engines.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use netsim::{Endpoint, Ipv4, LinkParams, Recv, SimHost, SocketId, World};
 use rabbit::nicmap::{
     MAX_CONNS, STATUS_ACCEPT_READY, STATUS_ERR, STATUS_PEER_CLOSED, STATUS_RX_AVAIL,
     STATUS_TX_READY,
 };
-use rabbit::Engine;
 
 use crate::nic::NIC_VECTOR;
 use crate::serial::SERIAL_A_VECTOR;
-use crate::RunOutcome;
 
 /// TCP port the C server listens on.
 pub const SERVE_PORT: u16 = 7;
@@ -123,190 +117,11 @@ pub fn build_serve_firmware(opts: dcc::Options) -> dcc::Build {
     .expect("C echo server compiles")
 }
 
-/// Result of one multi-client serving session.
-#[derive(Debug)]
-pub struct ServeRun {
-    /// What each client received back, in order, one transcript per
-    /// client.
-    pub transcripts: Vec<Vec<u8>>,
-    /// Guest cycles consumed (including halted idle cycles).
-    pub cycles: u64,
-    /// Guest instructions executed.
-    pub instructions: u64,
-    /// Final virtual time of the shared world, in microseconds.
-    pub virtual_us: u64,
-    /// Everything the guest wrote to the serial console (the `S<n>\n`
-    /// status lines).
-    pub serial_tx: Vec<u8>,
-    /// Peak simultaneously-open connection handles, sampled between run
-    /// slices by the host driver.
-    pub peak_open: usize,
-    /// Final value of the guest's `naccepts` counter (C global).
-    pub guest_accepts: u16,
-    /// Final value of the guest's `nopen` counter (C global) — 0 after
-    /// an orderly teardown.
-    pub guest_open: u16,
-    /// Deterministic text snapshot of the world telemetry (includes the
-    /// per-handle `net.board.conn.*` counters).
-    pub snapshot: String,
-    /// Root code size of the compiled firmware, in bytes.
-    pub code_size: usize,
-}
-
-/// Runs the compiled-C echo server against `clients.len()` concurrent
-/// host-side clients. Client `i` sends the messages of `clients[i]` in
-/// order, the next only after the previous came back in full; all
-/// clients are connected up-front, so when more clients than handles
-/// dial in, the surplus waits in the listen backlog. When `probe_gap_us`
-/// is set, the driver injects a console probe byte every so many
-/// microseconds of virtual time (only while the guest is halted, so the
-/// injection points are engine-independent).
-///
-/// # Panics
-///
-/// If the firmware faults or the session does not converge.
-pub fn serve_clients(
-    engine: Engine,
-    opts: dcc::Options,
-    clients: &[Vec<Vec<u8>>],
-    probe_gap_us: Option<u64>,
-) -> ServeRun {
-    let build = build_serve_firmware(opts);
-
-    let world = Rc::new(RefCell::new(World::new(42)));
-    let mut fleet = crate::fleet::Fleet::new(&world);
-    let b = fleet.add_solo_board(engine, "rmc2000", Ipv4::new(10, 0, 0, 1));
-    let board_ip = fleet.ip(b);
-    let board_id = fleet.host(b).id();
-    let mut hosts: Vec<SimHost> = (0..clients.len())
-        .map(|i| {
-            let ip = Ipv4::new(10, 0, 0, 2 + u8::try_from(i).expect("few clients"));
-            let host = SimHost::attach(&world, "client", ip);
-            world
-                .borrow_mut()
-                .link(board_id, host.id(), LinkParams::ethernet_10base_t());
-            host
-        })
-        .collect();
-
-    let board = fleet.board_mut(b);
-    board.load(&build.image);
-    board.set_pc(dcc::layout::CODE_ORG);
-
-    // Boot: main configures serial + NIC and parks in `idle()`.
-    assert_eq!(board.run(100_000), RunOutcome::Halted, "firmware boots");
-
-    // Everyone dials in; surplus connections wait in the backlog.
-    let conns: Vec<SocketId> = hosts
-        .iter_mut()
-        .map(|h| h.connect(Endpoint::new(board_ip, SERVE_PORT)))
-        .collect();
-
-    struct ClientState {
-        next_msg: usize,
-        sent: usize,
-        echoed: Vec<u8>,
-        expected: usize,
-        closed: bool,
-    }
-    let mut state: Vec<ClientState> = clients
-        .iter()
-        .map(|msgs| ClientState {
-            next_msg: 0,
-            sent: 0,
-            echoed: Vec::new(),
-            expected: msgs.iter().map(Vec::len).sum(),
-            closed: false,
-        })
-        .collect();
-
-    const RUN_CHUNK: u64 = 2_000;
-    const IDLE_CHUNK: u64 = 100 * crate::nic::CYCLES_PER_US;
-    const MAX_CYCLES: u64 = 500_000_000;
-
-    let mut peak_open = 0usize;
-    let mut next_probe_us = probe_gap_us.unwrap_or(0);
-
-    while state.iter().any(|s| s.echoed.len() < s.expected) {
-        assert!(
-            fleet.board(b).cpu.cycles < MAX_CYCLES,
-            "serve session did not converge"
-        );
-        fleet.solo_pump(RUN_CHUNK, IDLE_CHUNK, |board| {
-            if let Some(gap) = probe_gap_us {
-                // Console probes only against a halted CPU: the
-                // injection point is then a deterministic function of
-                // virtual time, identical on both engines.
-                if world.borrow().now() >= next_probe_us {
-                    board.serial_mut().inject(SERIAL_PROBE);
-                    next_probe_us = world.borrow().now() + gap;
-                }
-            }
-        });
-        peak_open = peak_open.max(fleet.board(b).nic().expect("nic attached").open_handles());
-
-        for ((host, &conn), (msgs, st)) in hosts
-            .iter_mut()
-            .zip(&conns)
-            .zip(clients.iter().zip(&mut state))
-        {
-            if st.next_msg < msgs.len() && st.echoed.len() == st.sent && host.established(conn) {
-                let msg = &msgs[st.next_msg];
-                assert_eq!(host.send(conn, msg), msg.len(), "client send fits");
-                st.sent += msg.len();
-                st.next_msg += 1;
-            }
-            let avail = host.available(conn);
-            if avail > 0 {
-                let mut buf = vec![0u8; avail];
-                if let Recv::Data(n) = host.recv(conn, &mut buf) {
-                    buf.truncate(n);
-                    st.echoed.extend_from_slice(&buf);
-                }
-            }
-            // A finished client hangs up immediately — that is what
-            // frees its handle for connections still waiting in the
-            // backlog when there are more clients than handles.
-            if st.echoed.len() == st.expected && !st.closed {
-                host.close(conn);
-                st.closed = true;
-            }
-        }
-    }
-
-    // Orderly teardown: the guest observes the FINs, closes its
-    // handles, and frees them for anything left in the backlog.
-    for _ in 0..40 {
-        fleet.solo_settle(RUN_CHUNK, IDLE_CHUNK);
-        peak_open = peak_open.max(fleet.board(b).nic().expect("nic attached").open_handles());
-    }
-
-    let board = fleet.board(b);
-    let read_c_int = |name: &str| -> u16 {
-        let phys = build.symbol_phys(name).expect("C global exists");
-        u16::from_le_bytes([board.mem.read_phys(phys), board.mem.read_phys(phys + 1)])
-    };
-    let guest_accepts = read_c_int("_naccepts");
-    let guest_open = read_c_int("_nopen");
-    let snapshot = world.borrow().telemetry().snapshot().to_text();
-    let virtual_us = world.borrow().now();
-    ServeRun {
-        transcripts: state.into_iter().map(|s| s.echoed).collect(),
-        cycles: board.cpu.cycles,
-        instructions: board.cpu.instructions,
-        virtual_us,
-        serial_tx: board.serial().transmitted().to_vec(),
-        peak_open,
-        guest_accepts,
-        guest_open,
-        snapshot,
-        code_size: build.code_size(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fleet_serve, FleetFirmware, FleetSpec, GuestClient};
+    use rabbit::Engine;
 
     #[test]
     fn c_server_compiles_under_both_option_sets() {
@@ -335,14 +150,18 @@ mod tests {
 
     #[test]
     fn serves_one_client_end_to_end() {
-        let r = serve_clients(
+        let mut spec = FleetSpec::new(
             Engine::Interpreter,
-            dcc::Options::all_optimizations(),
-            &[vec![b"hello board".to_vec()]],
-            None,
+            1,
+            b"",
+            vec![GuestClient::Plain {
+                messages: vec![b"hello board".to_vec()],
+            }],
         );
-        assert_eq!(r.transcripts, vec![b"hello board".to_vec()]);
-        assert_eq!(r.guest_accepts, 1);
-        assert_eq!(r.guest_open, 0, "teardown closed the handle");
+        spec.firmware = FleetFirmware::PlainEcho;
+        let r = fleet_serve(&spec);
+        assert_eq!(r.outcomes[0].echoed, b"hello board".to_vec());
+        assert_eq!(r.boards[0].accepts, 1);
+        assert_eq!(r.boards[0].open, 0, "teardown closed the handle");
     }
 }

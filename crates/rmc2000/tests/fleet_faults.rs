@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use netsim::Corruption;
 use rabbit::Engine;
-use rmc2000::{fleet_faults, FaultPlan, FleetRun, FleetSpec, GuestClient};
+use rmc2000::{fleet_serve, FaultPlan, FleetRun, FleetSpec, GuestClient};
 
 const BOARDS: usize = 3;
 const PSK: &[u8] = b"rmc2000 shared secret";
@@ -98,7 +98,7 @@ fn observables(r: &FleetRun) -> impl std::fmt::Debug + PartialEq {
 
 fn baseline() -> &'static FleetRun {
     static BASELINE: OnceLock<FleetRun> = OnceLock::new();
-    BASELINE.get_or_init(|| fleet_faults(&spec(Engine::Interpreter, Vec::new())))
+    BASELINE.get_or_init(|| fleet_serve(&spec(Engine::Interpreter, Vec::new())))
 }
 
 proptest! {
@@ -109,7 +109,7 @@ proptest! {
     #[test]
     fn faulted_run_survives_visit_order_shuffle(seeds in vec(0u64..1_000_000, 1..4)) {
         let orders: Vec<Vec<usize>> = seeds.into_iter().map(permutation).collect();
-        let shuffled = fleet_faults(&spec(Engine::Interpreter, orders));
+        let shuffled = fleet_serve(&spec(Engine::Interpreter, orders));
         prop_assert_eq!(observables(baseline()), observables(&shuffled));
     }
 }
@@ -120,7 +120,7 @@ proptest! {
 #[test]
 fn faulted_block_cache_matches_interpreter_baseline() {
     let orders: Vec<Vec<usize>> = (0..3).map(|s| permutation(0xB5A1_55ED + s)).collect();
-    let shuffled = fleet_faults(&spec(Engine::BlockCache, orders));
+    let shuffled = fleet_serve(&spec(Engine::BlockCache, orders));
     assert_eq!(observables(baseline()), observables(&shuffled));
 }
 

@@ -5,7 +5,14 @@
 //! fast-forward idle, and block-cache + fast-forward idle — and every
 //! observable must come out byte-identical: cycle counts, registers, RTC,
 //! serial transcript, NIC counters, world clock and telemetry snapshot,
-//! and the bytes the client got back.
+//! and the bytes the client got back — which must also be exactly the
+//! bytes the client sent, so the assembly NIC shims are checked as an
+//! echo server, not only against each other.
+//!
+//! The NIC is a passive world participant, so the test owns the world
+//! clock the way the fleet scheduler does: every `Run`/`Idle` budget is
+//! cut at epoch boundaries, and the world reaches each epoch's end
+//! before the board executes into it.
 //!
 //! The firmware exercises all three deadline sources at once: the NIC
 //! (poll-boundary echo ISR), the serial port (rx ISR echoing through the
@@ -20,7 +27,7 @@ use proptest::prelude::*;
 use rabbit::{assemble, Engine};
 use rmc2000::firmware::{nic_equates, nic_isr_body, nic_shims};
 use rmc2000::nic::Nic;
-use rmc2000::{Board, NIC_VECTOR, SERIAL_A_VECTOR};
+use rmc2000::{Board, RunOutcome, EPOCH_CYCLES, EPOCH_US, NIC_VECTOR, SERIAL_A_VECTOR};
 
 const PORT: u16 = 7;
 /// Cycles per byte in the serial transmit shifter (on, so serial shift
@@ -121,8 +128,54 @@ struct Session {
     board: Board,
     client: SimHost,
     conn: SocketId,
+    /// Every byte the client's sends were accepted for, in order.
+    sent: Vec<u8>,
     received: Vec<u8>,
     outcomes: Vec<String>,
+}
+
+/// World first: brings the world to the end of the epoch `board` is
+/// in, then returns the board's cycle count at that boundary, capped at
+/// `end`. Device time the bus deferred (a halted step's last tick waits
+/// for the next interrupt poll) is delivered before the world moves, so
+/// a poll boundary the board already crossed observes the world as it
+/// was when the board crossed it, whichever idle path got it there.
+fn epoch_slice_end(world: &RefCell<World>, board: &mut Board, end: u64) -> u64 {
+    board.bus.advance(0);
+    let boundary = (board.cpu.cycles / EPOCH_CYCLES + 1) * EPOCH_CYCLES;
+    let world_end = boundary / EPOCH_CYCLES * EPOCH_US;
+    let now = world.borrow().now();
+    if world_end > now {
+        world.borrow_mut().run_for(world_end - now);
+    }
+    boundary.min(end)
+}
+
+/// `Board::run` for `budget` cycles, one epoch slice at a time.
+fn run_sliced(world: &RefCell<World>, board: &mut Board, budget: u64) -> RunOutcome {
+    let end = board.cpu.cycles + budget;
+    loop {
+        let slice_end = epoch_slice_end(world, board, end);
+        let outcome = board.run(slice_end - board.cpu.cycles);
+        if outcome != RunOutcome::BudgetExhausted || board.cpu.cycles >= end {
+            return outcome;
+        }
+    }
+}
+
+/// `Board::idle` (or the stepwise oracle) for `budget` cycles, one epoch
+/// slice at a time; stops early when an interrupt wakes the CPU.
+fn idle_sliced(world: &RefCell<World>, board: &mut Board, budget: u64, stepwise: bool) -> bool {
+    let end = board.cpu.cycles + budget;
+    while board.cpu.halted && board.cpu.cycles < end {
+        let slice = epoch_slice_end(world, board, end) - board.cpu.cycles;
+        if stepwise {
+            board.idle_stepwise(slice);
+        } else {
+            board.idle(slice);
+        }
+    }
+    !board.cpu.halted
 }
 
 fn boot(engine: Engine) -> Session {
@@ -135,12 +188,13 @@ fn boot(engine: Engine) -> Session {
     let board_ip = board_host.ip();
 
     let mut board = Board::with_engine(engine);
-    board.attach_nic(Nic::simulated(board_host));
+    board.attach_nic(Nic::fleet_attached(board_host, 0));
     board.serial_mut().set_tx_shift_cycles(SHIFT_CYCLES);
     let image = assemble(&firmware()).expect("firmware assembles");
     board.load(&image);
     board.set_pc(0x4000);
-    let _ = board.run(20_000);
+
+    let _ = run_sliced(&world, &mut board, 20_000);
 
     let conn = client.connect(Endpoint::new(board_ip, PORT));
     Session {
@@ -148,6 +202,7 @@ fn boot(engine: Engine) -> Session {
         board,
         client,
         conn,
+        sent: Vec::new(),
         received: Vec::new(),
         outcomes: Vec::new(),
     }
@@ -156,15 +211,11 @@ fn boot(engine: Engine) -> Session {
 fn apply(s: &mut Session, op: &Op, stepwise: bool) {
     match *op {
         Op::Run(budget) => {
-            let outcome = s.board.run(budget);
+            let outcome = run_sliced(&s.world, &mut s.board, budget);
             s.outcomes.push(format!("{outcome:?}"));
         }
         Op::Idle(budget) => {
-            let woke = if stepwise {
-                s.board.idle_stepwise(budget)
-            } else {
-                s.board.idle(budget)
-            };
+            let woke = idle_sliced(&s.world, &mut s.board, budget, stepwise);
             s.outcomes.push(format!("idle:{woke}"));
         }
         Op::InjectSerial(byte) => s.board.serial_mut().inject(byte),
@@ -172,6 +223,7 @@ fn apply(s: &mut Session, op: &Op, stepwise: bool) {
             if s.client.established(s.conn) {
                 let data: Vec<u8> = (0..len).collect();
                 let sent = s.client.send(s.conn, &data);
+                s.sent.extend_from_slice(&data[..sent]);
                 s.outcomes.push(format!("send:{sent}"));
             }
         }
@@ -209,6 +261,7 @@ struct Fingerprint {
     idle_cycles: u64,
     world_now: u64,
     snapshot: String,
+    sent: Vec<u8>,
     received: Vec<u8>,
     outcomes: Vec<String>,
 }
@@ -235,6 +288,7 @@ fn fingerprint(mut s: Session) -> Fingerprint {
         idle_cycles: s.board.counters.idle_cycles.get(),
         world_now: s.world.borrow().now(),
         snapshot,
+        sent: s.sent,
         received: s.received,
         outcomes: s.outcomes,
     }
@@ -263,6 +317,9 @@ proptest! {
         let block = fingerprint(block);
         prop_assert_eq!(&oracle, &interp, "stepwise vs fast-forward (interpreter)\nops: {:?}", &ops);
         prop_assert_eq!(&interp, &block, "interpreter vs block-cache (both fast-forward)\nops: {:?}", &ops);
+        // After the settle phase the echo is complete: the firmware
+        // returned exactly what the client sent, in order.
+        prop_assert_eq!(&oracle.received, &oracle.sent, "echo transcript\nops: {:?}", &ops);
         // The fast path must actually have batched when it idled.
         if oracle.idle_cycles > 0 {
             prop_assert!(

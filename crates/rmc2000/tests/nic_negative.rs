@@ -4,17 +4,21 @@
 //! deterministic no-ops that latch [`STATUS_ERR`] — and every observable
 //! (recorded status bytes, error counters, cycle counts) is
 //! byte-identical across both execution engines.
+//!
+//! The board runs as a one-board [`Fleet`]: its NIC is a passive world
+//! participant, so the scheduler must bring the world to each epoch
+//! boundary before the board gets there.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use netsim::{Ipv4, SimHost, World};
+use netsim::{Ipv4, World};
 use rabbit::{assemble, Engine};
 use rmc2000::nic::{
-    Nic, CMD_CLOSE, CMD_LISTEN, CMD_RX_NEXT, CMD_TX_GO, NIC_CMD, NIC_CONN, NIC_LPORT_HI,
-    NIC_LPORT_LO, NIC_STATUS, STATUS_ERR,
+    CMD_CLOSE, CMD_LISTEN, CMD_RX_NEXT, CMD_TX_GO, NIC_CMD, NIC_CONN, NIC_LPORT_HI, NIC_LPORT_LO,
+    NIC_STATUS, STATUS_ERR,
 };
-use rmc2000::{Board, RunOutcome};
+use rmc2000::Fleet;
 
 /// Where the firmware records the status byte observed after each step.
 const RECORD: u16 = 0x8200;
@@ -63,15 +67,27 @@ struct Outcome {
     snapshot: String,
 }
 
-fn run(engine: Engine) -> Outcome {
+/// Boots `src` on a one-board fleet and runs epochs until the firmware
+/// halts for good (`halt` with interrupts off parks the board).
+fn boot(engine: Engine, src: &str) -> (Rc<RefCell<World>>, Fleet) {
     let world = Rc::new(RefCell::new(World::new(42)));
-    let host = SimHost::attach(&world, "rmc2000", Ipv4::new(10, 0, 0, 1));
-    let mut board = Board::with_engine(engine);
-    board.attach_nic(Nic::simulated(host));
-    let image = assemble(&firmware()).expect("firmware assembles");
-    board.load(&image);
+    let mut fleet = Fleet::new(&world);
+    let b = fleet.add_board(engine, "rmc2000", Ipv4::new(10, 0, 0, 1));
+    let board = fleet.board_mut(b);
+    board.load(&assemble(src).expect("firmware assembles"));
     board.set_pc(0x4000);
-    assert_eq!(board.run(100_000), RunOutcome::Halted, "firmware halts");
+    for _ in 0..100 {
+        fleet.run_epoch(&[b]);
+        if fleet.all_parked() {
+            return (world, fleet);
+        }
+    }
+    panic!("firmware halts");
+}
+
+fn run(engine: Engine) -> Outcome {
+    let (world, fleet) = boot(engine, &firmware());
+    let board = fleet.board(0);
     let records = (0..6)
         .map(|i| board.mem.read_phys(rmc2000::load_phys(RECORD + i)))
         .collect();
@@ -118,15 +134,8 @@ fn successful_command_clears_a_previous_error() {
          \x20       ld ({RECORD:#06x}), a\n\
          \x20       halt\n"
     );
-    let world = Rc::new(RefCell::new(World::new(42)));
-    let host = SimHost::attach(&world, "rmc2000", Ipv4::new(10, 0, 0, 1));
-    let mut board = Board::with_engine(Engine::Interpreter);
-    board.attach_nic(Nic::simulated(host));
-    let image = assemble(&src).expect("firmware assembles");
-    board.load(&image);
-    board.set_pc(0x4000);
-    assert_eq!(board.run(100_000), RunOutcome::Halted);
-    let status = board.mem.read_phys(rmc2000::load_phys(RECORD));
+    let (_world, fleet) = boot(Engine::Interpreter, &src);
+    let status = fleet.board(0).mem.read_phys(rmc2000::load_phys(RECORD));
     assert_eq!(status & STATUS_ERR, 0, "status {status:#04x}");
 }
 

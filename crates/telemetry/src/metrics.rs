@@ -188,28 +188,6 @@ impl Registry {
         }
     }
 
-    /// Registers `counter`'s cell under an additional name — an alias:
-    /// both keys observe the same underlying value, so a metric can be
-    /// renamed (e.g. namespaced per board) while the old name keeps
-    /// reporting. Idempotent; if the alias key already exists as a
-    /// counter it is left untouched and returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the key is already registered as a different metric
-    /// type — that is a naming bug, not a runtime condition.
-    pub fn alias_counter(&self, name: &str, labels: &[(&str, &str)], counter: &Counter) -> Counter {
-        let key = MetricKey::new(name, labels);
-        let mut map = self.inner.lock().expect("registry lock");
-        match map
-            .entry(key)
-            .or_insert_with(|| Metric::Counter(counter.clone()))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric `{name}` already registered with another type"),
-        }
-    }
-
     /// Gets or creates the gauge for `name` + `labels`.
     ///
     /// # Panics

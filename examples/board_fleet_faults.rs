@@ -19,7 +19,7 @@ use issl::recmap;
 use netsim::Corruption;
 use rabbit::Engine;
 use rmc2000::nic::CYCLES_PER_US;
-use rmc2000::{fleet_faults, FaultPlan, FleetRun, FleetSpec, GuestClient, Tamper};
+use rmc2000::{fleet_serve, FaultPlan, FleetRun, FleetSpec, GuestClient, Tamper};
 
 const PSK: &[u8] = b"rmc2000 shared secret";
 const BOARDS: usize = 4;
@@ -104,7 +104,7 @@ fn main() {
         ("block_cache", Engine::BlockCache),
     ] {
         let t0 = Instant::now();
-        let run = fleet_faults(&spec(engine));
+        let run = fleet_serve(&spec(engine));
         let wall_ms = t0.elapsed().as_secs_f64() * 1_000.0;
         for (i, out) in run.outcomes.iter().enumerate() {
             assert!(out.established, "client {i} establishes");

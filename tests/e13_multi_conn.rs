@@ -10,7 +10,7 @@
 //! the interpreter and block-cache execution engines.
 
 use rabbit::Engine;
-use rmc2000::serve::{serve_clients, ServeRun};
+use rmc2000::{fleet_serve, FleetFirmware, FleetRun, FleetSpec, GuestClient};
 
 fn workload() -> Vec<Vec<Vec<u8>>> {
     (0..3)
@@ -25,30 +25,37 @@ fn workload() -> Vec<Vec<Vec<u8>>> {
         .collect()
 }
 
-fn run(engine: Engine) -> ServeRun {
-    serve_clients(
-        engine,
-        dcc::Options::all_optimizations(),
-        &workload(),
-        Some(500),
-    )
+/// The workload on a one-board fleet: every client dials at once, with
+/// a console probe every 500 µs.
+fn run(engine: Engine) -> FleetRun {
+    let clients = workload()
+        .into_iter()
+        .map(|messages| GuestClient::Plain { messages })
+        .collect();
+    let mut spec = FleetSpec::new(engine, 1, b"", clients);
+    spec.firmware = FleetFirmware::PlainEcho;
+    spec.probe_gap_us = Some(500);
+    fleet_serve(&spec)
 }
 
 #[test]
 fn three_clients_echo_through_compiled_c_firmware() {
     let r = run(Engine::BlockCache);
-    for (i, (sent, got)) in workload().iter().zip(&r.transcripts).enumerate() {
-        assert_eq!(&sent.concat(), got, "client {i} transcript");
+    for (i, (sent, got)) in workload().iter().zip(&r.outcomes).enumerate() {
+        assert_eq!(sent.concat(), got.echoed, "client {i} transcript");
     }
-    assert_eq!(r.peak_open, 3, "all three handles served at once");
-    assert_eq!(r.guest_accepts, 3, "guest counted one accept per client");
-    assert_eq!(r.guest_open, 0, "teardown closed every handle");
+    assert_eq!(
+        r.backends[0].peak_inflight, 3,
+        "all three handles served at once"
+    );
+    assert_eq!(r.boards[0].accepts, 3, "guest counted one accept per client");
+    assert_eq!(r.boards[0].open, 0, "teardown closed every handle");
 }
 
 #[test]
 fn serial_console_reports_status_under_network_load() {
     let r = run(Engine::BlockCache);
-    let text = r.serial_tx.clone();
+    let text = r.boards[0].serial_tx.clone();
     assert!(!text.is_empty(), "probes produced status lines");
     assert_eq!(text.len() % 3, 0, "whole S<n>\\n lines only");
     let mut max_open = 0u8;
@@ -70,7 +77,7 @@ fn per_handle_telemetry_attributes_the_traffic() {
     for h in 0..3 {
         assert!(
             r.snapshot
-                .contains(&format!("net.board.conn.accepts{{conn=\"{h}\"}}")),
+                .contains(&format!("board0.net.board.conn.accepts{{conn=\"{h}\"}}")),
             "per-handle accepts counter for handle {h}:\n{}",
             r.snapshot
         );
@@ -80,7 +87,7 @@ fn per_handle_telemetry_attributes_the_traffic() {
     let rx_total: u64 = r
         .snapshot
         .lines()
-        .filter(|l| l.starts_with("net.board.conn.rx_bytes"))
+        .filter(|l| l.starts_with("board0.net.board.conn.rx_bytes"))
         .filter_map(|l| l.split_whitespace().last()?.parse::<u64>().ok())
         .sum();
     assert_eq!(rx_total, sent_total as u64, "snapshot:\n{}", r.snapshot);
@@ -90,12 +97,13 @@ fn per_handle_telemetry_attributes_the_traffic() {
 fn engines_agree_byte_for_byte() {
     let a = run(Engine::Interpreter);
     let b = run(Engine::BlockCache);
-    assert_eq!(a.cycles, b.cycles, "cycle counts");
-    assert_eq!(a.instructions, b.instructions, "instruction counts");
+    let (x, y) = (&a.boards[0], &b.boards[0]);
+    assert_eq!(x.cycles, y.cycles, "cycle counts");
+    assert_eq!(x.instructions, y.instructions, "instruction counts");
     assert_eq!(a.virtual_us, b.virtual_us, "virtual clocks");
-    assert_eq!(a.transcripts, b.transcripts, "client transcripts");
-    assert_eq!(a.serial_tx, b.serial_tx, "serial console output");
-    assert_eq!(a.peak_open, b.peak_open, "peak concurrency");
-    assert_eq!(a.guest_accepts, b.guest_accepts);
+    assert_eq!(a.outcomes, b.outcomes, "client transcripts");
+    assert_eq!(x.serial_tx, y.serial_tx, "serial console output");
+    assert_eq!(a.backends, b.backends, "peak concurrency");
+    assert_eq!(x.accepts, y.accepts);
     assert_eq!(a.snapshot, b.snapshot, "telemetry snapshots");
 }

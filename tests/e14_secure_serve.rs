@@ -5,7 +5,7 @@
 //! rounds in hand assembly, all driven by the E13 round-robin loop.
 
 use rabbit::Engine;
-use rmc2000::{secure_serve, GuestClient, SecureRun};
+use rmc2000::{fleet_serve, FleetRun, FleetSpec, GuestClient};
 
 const PSK: &[u8] = b"rmc2000 shared secret";
 
@@ -25,15 +25,15 @@ fn mixed_workload() -> Vec<GuestClient> {
     ]
 }
 
-fn run(engine: Engine, clients: &[GuestClient], probe_gap_us: Option<u64>) -> SecureRun {
-    secure_serve(
-        engine,
-        dcc::Options::all_optimizations(),
-        PSK,
-        clients,
-        probe_gap_us,
-        false,
-    )
+/// `clients` against one secure board, all dialing at once.
+fn spec(engine: Engine, clients: &[GuestClient], probe_gap_us: Option<u64>) -> FleetSpec {
+    let mut spec = FleetSpec::new(engine, 1, PSK, clients.to_vec());
+    spec.probe_gap_us = probe_gap_us;
+    spec
+}
+
+fn run(engine: Engine, clients: &[GuestClient], probe_gap_us: Option<u64>) -> FleetRun {
+    fleet_serve(&spec(engine, clients, probe_gap_us))
 }
 
 /// One well-behaved secure client: full handshake, every message
@@ -57,12 +57,13 @@ fn secure_echo_round_trips_through_compiled_c_firmware() {
     assert_eq!(c0.error, None);
     assert!(!c0.peer_closed, "client closes first, not the guest");
     assert_eq!(c0.echoed, messages.concat(), "plaintext round-trips");
-    assert_eq!(run.conns[0].handshakes, 1);
-    assert_eq!(run.conns[0].records_in, 3);
-    assert_eq!(run.conns[0].records_out, 3);
-    assert_eq!(run.conns[0].alerts, 0);
-    assert_eq!(run.accepts, 1);
-    assert_eq!(run.open, 0);
+    let board = &run.boards[0];
+    assert_eq!(board.conns[0].handshakes, 1);
+    assert_eq!(board.conns[0].records_in, 3);
+    assert_eq!(board.conns[0].records_out, 3);
+    assert_eq!(board.conns[0].alerts, 0);
+    assert_eq!(board.accepts, 1);
+    assert_eq!(board.open, 0);
 }
 
 /// Secure and plaintext sessions interleave on the same port while the
@@ -83,16 +84,17 @@ fn mixed_load_serves_secure_and_plain_with_serial_probes() {
         b"interleaved cleartext traffic".to_vec()
     );
 
-    assert_eq!(run.accepts, 3, "all three handles served");
-    assert_eq!(run.open, 0);
-    assert_eq!(run.conns[0].handshakes, 1, "exactly one secure session");
+    let board = &run.boards[0];
+    assert_eq!(board.accepts, 3, "all three handles served");
+    assert_eq!(board.open, 0);
+    assert_eq!(board.conns[0].handshakes, 1, "exactly one secure session");
 
     // The console answered every probe with `S<open-handles>\n`, and at
     // some point saw at least two connections open at once.
-    assert!(!run.serial_tx.is_empty(), "console answered probes");
-    assert_eq!(run.serial_tx.len() % 3, 0);
+    assert!(!board.serial_tx.is_empty(), "console answered probes");
+    assert_eq!(board.serial_tx.len() % 3, 0);
     let mut max_open = 0u8;
-    for line in run.serial_tx.chunks(3) {
+    for line in board.serial_tx.chunks(3) {
         assert_eq!(line[0], b'S');
         assert!(line[1].is_ascii_digit());
         assert_eq!(line[2], b'\n');
@@ -101,9 +103,15 @@ fn mixed_load_serves_secure_and_plain_with_serial_probes() {
     assert!(max_open >= 2, "overlapping sessions visible on the console");
 
     // The driver publishes the guest's books into the shared registry.
-    assert!(run.snapshot.contains("issl.guest.handshakes{conn=\"0\"} 1"));
-    assert!(run.snapshot.contains("issl.guest.records.in"));
-    assert!(run.snapshot.contains("net.board.conn.accepts"));
+    assert!(run
+        .snapshot
+        .contains("board0.issl.guest.handshakes{conn=\"0\"} 1"));
+    assert!(run.snapshot.contains("board0.issl.guest.records.in"));
+    assert!(run.snapshot.contains("board0.net.board.conn.accepts"));
+    assert!(
+        !run.snapshot.lines().any(|l| l.starts_with("issl.guest.")),
+        "guest counters live only under board0."
+    );
 }
 
 /// The secure channel's determinism bar: every observable of the mixed
@@ -115,14 +123,15 @@ fn engines_agree_byte_for_byte() {
     let a = run(Engine::Interpreter, &clients, Some(500));
     let b = run(Engine::BlockCache, &clients, Some(500));
 
-    assert_eq!(a.cycles, b.cycles, "cycle counts agree");
-    assert_eq!(a.instructions, b.instructions, "instruction counts agree");
+    let (x, y) = (&a.boards[0], &b.boards[0]);
+    assert_eq!(x.cycles, y.cycles, "cycle counts agree");
+    assert_eq!(x.instructions, y.instructions, "instruction counts agree");
     assert_eq!(a.virtual_us, b.virtual_us, "virtual time agrees");
     assert_eq!(a.outcomes, b.outcomes, "client outcomes agree");
-    assert_eq!(a.conns, b.conns, "guest counters agree");
-    assert_eq!(a.accepts, b.accepts);
-    assert_eq!(a.open, b.open);
-    assert_eq!(a.serial_tx, b.serial_tx, "console output agrees");
+    assert_eq!(x.conns, y.conns, "guest counters agree");
+    assert_eq!(x.accepts, y.accepts);
+    assert_eq!(x.open, y.open);
+    assert_eq!(x.serial_tx, y.serial_tx, "console output agrees");
     assert_eq!(a.snapshot, b.snapshot, "telemetry snapshots agree");
     assert_eq!(a.echoed_bytes, b.echoed_bytes);
 }
@@ -133,17 +142,15 @@ fn engines_agree_byte_for_byte() {
 #[test]
 fn profiler_attributes_secure_session_cycles_to_symbols() {
     let clients = [GuestClient::secure(&[b"profile me"], PSK)];
-    let run = secure_serve(
-        Engine::BlockCache,
-        dcc::Options::all_optimizations(),
-        PSK,
-        &clients,
-        None,
-        true,
-    );
+    let mut spec = spec(Engine::BlockCache, &clients, None);
+    spec.profile = true;
+    let run = fleet_serve(&spec);
     assert!(run.outcomes[0].established);
 
-    let report = run.profile.as_ref().expect("profiling was requested");
+    let report = run.boards[0]
+        .profile
+        .as_ref()
+        .expect("profiling was requested");
     assert!(
         report.attributed_fraction() >= 0.95,
         "only {:.2}% of cycles attributed\n{}",

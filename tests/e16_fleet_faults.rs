@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use issl::recmap;
 use netsim::Corruption;
 use rabbit::Engine;
-use rmc2000::{fleet_faults, FaultPlan, FleetRun, FleetSpec, GuestClient, Tamper};
+use rmc2000::{fleet_serve, FaultPlan, FleetRun, FleetSpec, GuestClient, Tamper};
 
 const PSK: &[u8] = b"rmc2000 shared secret";
 const BOARDS: usize = 4;
@@ -118,8 +118,8 @@ fn run(engine: Engine) -> &'static FleetRun {
     static INTERP: OnceLock<FleetRun> = OnceLock::new();
     static BC: OnceLock<FleetRun> = OnceLock::new();
     match engine {
-        Engine::Interpreter => INTERP.get_or_init(|| fleet_faults(&spec(Engine::Interpreter))),
-        Engine::BlockCache => BC.get_or_init(|| fleet_faults(&spec(Engine::BlockCache))),
+        Engine::Interpreter => INTERP.get_or_init(|| fleet_serve(&spec(Engine::Interpreter))),
+        Engine::BlockCache => BC.get_or_init(|| fleet_serve(&spec(Engine::BlockCache))),
     }
 }
 
@@ -162,8 +162,7 @@ fn degraded_fleet_still_serves_every_survivor_session() {
     // session either completes or is cut by the corruption storm with
     // the guest's deterministic close alert — no third outcome.
     let mut victims = 0;
-    for i in 4..8 {
-        let out = &run.outcomes[i];
+    for (i, out) in run.outcomes.iter().enumerate().take(8).skip(4) {
         assert!(out.established, "client {i} establishes despite faults");
         assert_eq!(out.error, None, "client {i} has no transport error");
         if out.peer_closed && out.echoed.is_empty() {
@@ -234,15 +233,15 @@ fn faulted_run_is_engine_identical() {
 /// RNG seeds) replayed from scratch produces the identical run.
 #[test]
 fn same_fault_plan_twice_is_byte_identical() {
-    let again = fleet_faults(&spec(Engine::BlockCache));
+    let again = fleet_serve(&spec(Engine::BlockCache));
     assert_eq!(observables(run(Engine::BlockCache)), observables(&again));
 }
 
 /// A wedge freezes the victim's telemetry: the `board<i>.net.board.*`
 /// lines captured at wedge time reappear verbatim in the final
 /// snapshot when the board is never resurrected, the balancer charges
-/// exactly one failure per failed connect, and board 0's legacy
-/// unprefixed aliases survive the whole ordeal.
+/// exactly one failure per failed connect, and every board counter
+/// stays under its `board<i>.` namespace.
 #[test]
 fn wedged_board_telemetry_freezes_and_books_balance() {
     // Plain clients on the secure firmware: sessions are quick (~2 ms),
@@ -254,7 +253,7 @@ fn wedged_board_telemetry_freezes_and_books_balance() {
     spec.dials = vec![0, 0, 40_000, 40_000];
     spec.faults = FaultPlan::new().wedge(1, 20_000);
     spec.lb_retry_after_us = Some(200_000);
-    let run = fleet_faults(&spec);
+    let run = fleet_serve(&spec);
 
     // All four clients completed, the wave-2 pair on board 0 alone.
     for (i, out) in run.outcomes.iter().enumerate() {
@@ -280,8 +279,13 @@ fn wedged_board_telemetry_freezes_and_books_balance() {
     assert_eq!(run.faults.failover_latencies_us.len(), 1);
     assert!(run.snapshot.contains("lb.dead_marks 1"));
 
-    // Board 0's legacy unprefixed counters still alias the namespaced
-    // ones (the pre-fleet dashboard keys keep working).
-    assert!(run.snapshot.contains("net.board.rx_frames"));
+    // One naming scheme: board counters exist only under their
+    // `board<i>.` namespace, never as unprefixed keys.
     assert!(run.snapshot.contains("board0.net.board.rx_frames"));
+    for line in run.snapshot.lines() {
+        let unprefixed = ["net.board.", "board.", "issl.guest."]
+            .iter()
+            .any(|p| line.starts_with(p));
+        assert!(!unprefixed, "unprefixed board key: {line}");
+    }
 }

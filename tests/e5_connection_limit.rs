@@ -24,40 +24,49 @@ fn three_handlers_cap_concurrency_at_three() {
 }
 
 /// The same three-connection cap, but on the *guest NIC path*: compiled
-/// C firmware on the simulated board, where the limit is enforced by the
-/// NIC register file's three connection handles rather than by
-/// costatement count. Five clients dial in; the fourth and fifth wait in
-/// the listen backlog until an earlier client hangs up and frees a
-/// handle, and everyone is served eventually.
+/// C firmware on a one-board fleet, where the limit is the NIC register
+/// file's three connection handles rather than the costatement count.
+/// Five clients dial in at once. The balancer caps each backend at the
+/// board's handle count (`MAX_CONNS`), so the fourth and fifth wait at
+/// the balancer until an earlier client hangs up and frees a handle;
+/// everyone is served eventually. The console, probed throughout, never
+/// reports more than three open handles.
 #[test]
 fn guest_nic_path_holds_fourth_connection_at_the_register_file() {
     use rabbit::Engine;
-    use rmc2000::serve::serve_clients;
+    use rmc2000::{fleet_serve, FleetFirmware, FleetSpec, GuestClient};
 
-    let clients: Vec<Vec<Vec<u8>>> = (0..5)
-        .map(|i| vec![vec![0x40 + i as u8; 120 + 10 * i]])
+    let messages: Vec<Vec<u8>> = (0..5).map(|i| vec![0x40 + i as u8; 120 + 10 * i]).collect();
+    let clients = messages
+        .iter()
+        .map(|m| GuestClient::Plain {
+            messages: vec![m.clone()],
+        })
         .collect();
-    let r = serve_clients(
-        Engine::BlockCache,
-        dcc::Options::all_optimizations(),
-        &clients,
-        None,
-    );
-    for (i, (sent, got)) in clients.iter().zip(&r.transcripts).enumerate() {
-        assert_eq!(&sent.concat(), got, "client {i} served eventually");
+    let mut spec = FleetSpec::new(Engine::BlockCache, 1, b"", clients);
+    spec.firmware = FleetFirmware::PlainEcho;
+    spec.probe_gap_us = Some(500);
+    let r = fleet_serve(&spec);
+    for (i, (sent, got)) in messages.iter().zip(&r.outcomes).enumerate() {
+        assert_eq!(sent, &got.echoed, "client {i} served eventually");
     }
-    assert!(
-        r.peak_open <= 3,
-        "the register file never binds more than three handles, saw {}",
-        r.peak_open
+    let (backend, board) = (&r.backends[0], &r.boards[0]);
+    assert_eq!(
+        backend.peak_inflight, 3,
+        "exactly three sessions at once: the hold-off binds at the handle count"
     );
-    assert!(
-        r.peak_open >= 2,
-        "the offered load did overlap, saw {}",
-        r.peak_open
-    );
-    assert_eq!(r.guest_accepts, 5, "all five connections accepted in turn");
-    assert_eq!(r.guest_open, 0, "teardown freed every handle");
+    assert_eq!(backend.served, 5, "the held-off clients are served later");
+    assert_eq!(board.accepts, 5, "all five connections accepted in turn");
+    assert_eq!(board.open, 0, "teardown freed every handle");
+    assert!(!board.serial_tx.is_empty(), "console answered probes");
+    for line in board.serial_tx.chunks(3) {
+        assert_eq!(line[0], b'S', "line shape: {line:?}");
+        let n = line[1] - b'0';
+        assert!(
+            n <= 3,
+            "the register file never binds more than three, saw {n}"
+        );
+    }
 }
 
 #[test]

@@ -166,7 +166,7 @@ fn client_hanging_up_mid_handshake_frees_the_handle() {
 /// rotation.
 #[test]
 fn dead_backend_is_reprobed_and_revived_after_retry_window() {
-    use rmc2000::{fleet_faults, FaultEvent, FaultPlan};
+    use rmc2000::{FaultEvent, FaultPlan};
 
     let run = {
         let mk = |engine: Engine| {
@@ -188,8 +188,8 @@ fn dead_backend_is_reprobed_and_revived_after_retry_window() {
             spec.lb_retry_after_us = Some(150_000);
             spec
         };
-        let a = fleet_faults(&mk(Engine::Interpreter));
-        let b = fleet_faults(&mk(Engine::BlockCache));
+        let a = fleet_serve(&mk(Engine::Interpreter));
+        let b = fleet_serve(&mk(Engine::BlockCache));
         assert_eq!(a.outcomes, b.outcomes, "client transcripts agree");
         assert_eq!(a.backends, b.backends, "balancer books agree");
         assert_eq!(a.snapshot, b.snapshot, "telemetry snapshots agree");

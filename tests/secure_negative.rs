@@ -5,7 +5,7 @@
 
 use issl::recmap;
 use rabbit::Engine;
-use rmc2000::{secure_serve, GuestClient, SecureRun, Tamper};
+use rmc2000::{fleet_serve, BoardReport, FleetRun, FleetSpec, GuestClient, Tamper};
 
 const PSK: &[u8] = b"rmc2000 shared secret";
 
@@ -17,22 +17,29 @@ fn alert_rec(body: &[u8]) -> Vec<u8> {
     rec
 }
 
-/// Runs the workload under both engines, asserts every observable is
-/// byte-identical, and returns the interpreter run for inspection.
-fn run_both(clients: &[GuestClient]) -> SecureRun {
-    let opts = dcc::Options::all_optimizations();
-    let a = secure_serve(Engine::Interpreter, opts, PSK, clients, None, false);
-    let b = secure_serve(Engine::BlockCache, opts, PSK, clients, None, false);
+/// Runs the workload on one board under both engines, asserts every
+/// observable is byte-identical, and returns the interpreter run for
+/// inspection.
+fn run_both(clients: &[GuestClient]) -> FleetRun {
+    let run = |engine| fleet_serve(&FleetSpec::new(engine, 1, PSK, clients.to_vec()));
+    let a = run(Engine::Interpreter);
+    let b = run(Engine::BlockCache);
+    let (x, y) = (&a.boards[0], &b.boards[0]);
     assert_eq!(a.outcomes, b.outcomes, "client outcomes agree");
-    assert_eq!(a.conns, b.conns, "guest counters agree");
-    assert_eq!(a.accepts, b.accepts, "accepts agree");
-    assert_eq!(a.open, b.open, "open handles agree");
-    assert_eq!(a.cycles, b.cycles, "cycle counts agree");
-    assert_eq!(a.instructions, b.instructions, "instruction counts agree");
+    assert_eq!(x.conns, y.conns, "guest counters agree");
+    assert_eq!(x.accepts, y.accepts, "accepts agree");
+    assert_eq!(x.open, y.open, "open handles agree");
+    assert_eq!(x.cycles, y.cycles, "cycle counts agree");
+    assert_eq!(x.instructions, y.instructions, "instruction counts agree");
     assert_eq!(a.virtual_us, b.virtual_us, "virtual time agrees");
-    assert_eq!(a.serial_tx, b.serial_tx, "serial output agrees");
+    assert_eq!(x.serial_tx, y.serial_tx, "serial output agrees");
     assert_eq!(a.snapshot, b.snapshot, "telemetry snapshots agree");
     a
+}
+
+/// The only board of a [`run_both`] run.
+fn board(run: &FleetRun) -> &BoardReport {
+    &run.boards[0]
 }
 
 /// Three misbehaving clients on the three NIC handles at once: a wrong
@@ -97,16 +104,17 @@ fn wrong_psk_tampered_mac_and_truncation_each_draw_an_alert() {
 
     // Guest-side books: two completed handshakes (clients 1 and 2), one
     // alert per client, no data record ever accepted or produced.
-    let handshakes: u16 = run.conns.iter().map(|c| c.handshakes).sum();
-    let alerts: u16 = run.conns.iter().map(|c| c.alerts).sum();
-    let records_in: u16 = run.conns.iter().map(|c| c.records_in).sum();
-    let records_out: u16 = run.conns.iter().map(|c| c.records_out).sum();
+    let b = board(&run);
+    let handshakes: u16 = b.conns.iter().map(|c| c.handshakes).sum();
+    let alerts: u16 = b.conns.iter().map(|c| c.alerts).sum();
+    let records_in: u16 = b.conns.iter().map(|c| c.records_in).sum();
+    let records_out: u16 = b.conns.iter().map(|c| c.records_out).sum();
     assert_eq!(handshakes, 2);
     assert_eq!(alerts, 3);
     assert_eq!(records_in, 0);
     assert_eq!(records_out, 0);
-    assert_eq!(run.accepts, 3);
-    assert_eq!(run.open, 0, "all handles freed after teardown");
+    assert_eq!(b.accepts, 3);
+    assert_eq!(b.open, 0, "all handles freed after teardown");
 }
 
 /// A handcrafted ClientHello advertising a suite geometry the guest
@@ -132,10 +140,11 @@ fn handcrafted_unsupported_suite_hello_is_refused() {
         alert_rec(recmap::ALERT_UNSUPPORTED_SUITE),
         "alert is the only reply — no ServerHello leaks first"
     );
-    assert_eq!(run.conns[0].handshakes, 0);
-    assert_eq!(run.conns[0].alerts, 1);
-    assert_eq!(run.accepts, 1);
-    assert_eq!(run.open, 0);
+    let b = board(&run);
+    assert_eq!(b.conns[0].handshakes, 0);
+    assert_eq!(b.conns[0].alerts, 1);
+    assert_eq!(b.accepts, 1);
+    assert_eq!(b.open, 0);
 }
 
 /// Link-layer corruption — a byte flip on the wire, not a tampering
@@ -147,7 +156,7 @@ fn handcrafted_unsupported_suite_hello_is_refused() {
 #[test]
 fn link_layer_corruption_draws_the_same_alert_as_host_tamper() {
     use netsim::Corruption;
-    use rmc2000::{fleet_faults, FaultPlan, FleetSpec};
+    use rmc2000::FaultPlan;
 
     let mk = |engine: Engine| {
         let clients = vec![GuestClient::Secure {
@@ -167,8 +176,8 @@ fn link_layer_corruption_draws_the_same_alert_as_host_tamper() {
         );
         spec
     };
-    let a = fleet_faults(&mk(Engine::Interpreter));
-    let b = fleet_faults(&mk(Engine::BlockCache));
+    let a = fleet_serve(&mk(Engine::Interpreter));
+    let b = fleet_serve(&mk(Engine::BlockCache));
     assert_eq!(a.outcomes, b.outcomes, "client outcomes agree");
     assert_eq!(a.snapshot, b.snapshot, "telemetry snapshots agree");
     assert_eq!(a.virtual_us, b.virtual_us, "virtual time agrees");
