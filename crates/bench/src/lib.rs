@@ -3,10 +3,8 @@
 //! examples. Every function is deterministic for a given seed.
 
 pub mod e8;
-pub mod json;
 
 pub use e8::{e8_rsa_ablation, modmul_c_source, RsaAblation};
-pub use json::Json;
 
 use std::sync::atomic::Ordering;
 

@@ -73,12 +73,6 @@ impl SimHost {
         self.world.borrow().telemetry().counter(name, &[])
     }
 
-    /// Virtual time of the world's earliest scheduled event (see
-    /// [`World::next_event_time`]).
-    pub fn next_event_us(&self) -> Option<u64> {
-        self.world.borrow().next_event_time()
-    }
-
     /// Connections waiting to be accepted on `listener`.
     pub fn pending(&self, listener: SocketId) -> usize {
         self.world.borrow().tcp_pending(listener)

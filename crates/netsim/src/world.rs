@@ -502,8 +502,8 @@ impl World {
 
     /// Virtual time of the earliest scheduled event, if any — the soonest
     /// moment at which any socket or wire state can change on its own.
-    /// Callers that own the clock (the board's idle scheduler) use this
-    /// to fast-forward: advancing in one `run_for` to (or before) this
+    /// Callers that own the clock (the fleet scheduler) use this to
+    /// fast-forward: advancing in one `run_for` to (or before) this
     /// time is indistinguishable from advancing microsecond by
     /// microsecond.
     pub fn next_event_time(&self) -> Option<u64> {

@@ -545,9 +545,18 @@ impl FaultDriver {
 ///
 /// # Panics
 ///
-/// If a board's firmware faults or the session does not converge.
+/// If the spec is malformed (no boards, more than 255 boards or
+/// clients, a `dials` list of the wrong length) — checked before any
+/// work — or if a board's firmware faults or the session does not
+/// converge.
 pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
     assert!(spec.boards >= 1, "a fleet has at least one board");
+    assert!(
+        spec.dials.is_empty() || spec.dials.len() == spec.clients.len(),
+        "one dial time per client"
+    );
+    let board_ips: Vec<Ipv4> = (0..spec.boards).map(|i| fleet_ip(1, i)).collect();
+    let client_ips: Vec<Ipv4> = (0..spec.clients.len()).map(|i| fleet_ip(2, i)).collect();
     let (build, port) = match &spec.firmware {
         FleetFirmware::PlainEcho => (build_serve_firmware(spec.opts), SERVE_PORT),
         FleetFirmware::SecureEcho { .. } => (build_secure_firmware(spec.opts), SECURE_PORT),
@@ -555,8 +564,7 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
 
     let world = Rc::new(RefCell::new(World::new(42)));
     let mut fleet = Fleet::new(&world);
-    for i in 0..spec.boards {
-        let ip = Ipv4::new(10, 0, 1, 1 + u8::try_from(i).expect("few boards"));
+    for (i, &ip) in board_ips.iter().enumerate() {
         let b = fleet.add_board(spec.engine, &format!("rmc2000-{i}"), ip);
         let board = fleet.board_mut(b);
         board.load(&build.image);
@@ -603,9 +611,9 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         lb.add_backend(Endpoint::new(fleet.ip(i), port));
     }
 
-    let mut hosts: Vec<SimHost> = (0..spec.clients.len())
-        .map(|i| {
-            let ip = Ipv4::new(10, 0, 2, 1 + u8::try_from(i).expect("few clients"));
+    let mut hosts: Vec<SimHost> = client_ips
+        .iter()
+        .map(|&ip| {
             let host = SimHost::attach(&world, "client", ip);
             world
                 .borrow_mut()
@@ -634,10 +642,6 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
 
     // Clients dial the balancer's front address at their scheduled
     // times (everyone immediately, in the legacy no-dials shape).
-    assert!(
-        spec.dials.is_empty() || spec.dials.len() == spec.clients.len(),
-        "one dial time per client"
-    );
     let dial_at: Vec<u64> = if spec.dials.is_empty() {
         vec![0; spec.clients.len()]
     } else {
@@ -840,6 +844,15 @@ fn visit_order<'a>(orders: &'a [Vec<usize>], identity: &'a [usize], epoch: u64) 
     }
 }
 
+/// Fleet host `i` on `10.0.<subnet>.0/24`: `10.0.<subnet>.<i + 1>`.
+fn fleet_ip(subnet: u8, i: usize) -> Ipv4 {
+    let host = u8::try_from(i)
+        .ok()
+        .and_then(|i| i.checked_add(1))
+        .unwrap_or_else(|| panic!("fleet host {i} does not fit 10.0.{subnet}.1-255"));
+    Ipv4::new(10, 0, subnet, host)
+}
+
 /// The firmware's symbols for profile folding. `dcc`'s generated branch
 /// labels (`L<digit>...`) are dropped: they would fragment each C
 /// function's cycles across its basic blocks. Everything else stays —
@@ -893,6 +906,21 @@ mod tests {
         }
         assert!(r.snapshot.contains("board0.net.board.conn.accepts"));
         assert!(r.snapshot.contains("board1.net.board.conn.accepts"));
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet host 255 does not fit 10.0.2.1-255")]
+    fn client_255_is_refused_before_boot() {
+        let spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(256));
+        let _ = fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "one dial time per client")]
+    fn short_dials_list_is_refused_before_boot() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(2));
+        spec.dials = vec![0];
+        let _ = fleet_serve(&spec);
     }
 
     #[test]

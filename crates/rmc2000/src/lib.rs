@@ -46,7 +46,7 @@ pub use fleet::{
     fleet_serve, BackendStats, BoardReport, BoardState, Fleet, FleetFirmware, FleetRun, FleetSpec,
     LbPolicy, EPOCH_CYCLES, EPOCH_US,
 };
-pub use nic::{Nic, NicBackend, NicCounters, SimBackend, NIC_VECTOR};
+pub use nic::{Nic, NicBackend, NicCounters, NIC_VECTOR};
 pub use secure::{
     build_secure_firmware, ClientOutcome, ConnCounters, GuestClient, Tamper, ALERT_KIND_LABELS,
     SECURE_PORT,

@@ -6,14 +6,15 @@
 //! model keeps the paper's programming surface (command/status registers
 //! plus packet windows reached with `ioe`) but terminates TCP in the
 //! simulated network stack, like a TCP-offload NIC: the frames the guest
-//! exchanges through the rings are TCP payload chunks. Guest cycles drive
-//! the backend's *local* clock — [`Nic::tick`] converts CPU cycles to
-//! microseconds at [`CYCLES_PER_US`] (the repo-wide 30 MHz board clock).
+//! exchanges through the rings are TCP payload chunks. Guest cycles set
+//! the NIC's poll grid: [`Nic::tick`] counts CPU cycles and polls the
+//! backend every [`POLL_PERIOD_US`] of virtual time at [`CYCLES_PER_US`]
+//! (the repo-wide 30 MHz board clock).
 //!
-//! There is one clock contract: the backend is a passive participant in
-//! the shared `netsim` world. It reads `now` and moves bytes, but never
+//! The backend keeps no clock. It is a passive participant in the shared
+//! `netsim` world: it reads socket state and moves bytes, but never
 //! advances time; the `rmc2000::fleet` scheduler owns the world clock and
-//! brings it to each epoch boundary before any board's local clock gets
+//! brings it to each epoch boundary before any board's poll grid gets
 //! there, so instruction execution and packet delivery share one
 //! deterministic timeline. Code that drives a board without a fleet must
 //! advance the world itself, world first.
@@ -89,23 +90,21 @@ pub const NIC_VECTOR: u16 = 0x00F0;
 pub const CYCLES_PER_US: u64 = 30;
 /// Virtual-time period between backend polls.
 pub const POLL_PERIOD_US: u64 = 50;
+/// CPU cycles between backend polls.
+const POLL_CYCLES: u64 = POLL_PERIOD_US * CYCLES_PER_US;
 /// Largest frame the rings carry.
 pub const FRAME_MAX: usize = 1024;
 /// Receive-ring depth per handle, in frames; the backend holds further
 /// data back (TCP flow control) while a handle's ring is full.
 pub const RX_RING: usize = 8;
 
-/// What the NIC plugs into: a clocked transport that produces and
-/// consumes payload frames over a table of connection handles.
+/// What the NIC plugs into: a transport that produces and consumes
+/// payload frames over a table of connection handles.
 ///
-/// `advance` must be additive (`advance(a); advance(b)` ≡
-/// `advance(a + b)` when no `poll` intervenes) — the NIC calls it in
-/// whatever increments the CPU's tick chunking produces. Handle indices
-/// are always `< MAX_CONNS` (the register file range-checks `CONN`).
+/// The backend keeps no clock; the NIC calls [`NicBackend::poll`] at its
+/// own poll boundaries. Handle indices are always `< MAX_CONNS` (the
+/// register file range-checks `CONN`).
 pub trait NicBackend {
-    /// Advances backend time by `us` microseconds.
-    fn advance(&mut self, us: u64);
-
     /// Opens the listening socket on `port`. `false` if it could not be
     /// opened (port in use).
     fn listen(&mut self, port: u16) -> bool;
@@ -137,18 +136,14 @@ pub trait NicBackend {
     /// Whether `handle`'s peer has closed its direction.
     fn peer_closed(&self, handle: usize) -> bool;
 
-    /// A lower bound on how far in the future (µs from the backend's
-    /// current time) a [`NicBackend::poll`] could first return a frame or
-    /// observe changed connection state. `Some(0)` — the default — means
-    /// "unknown: treat every poll as potentially live"; `None` means
-    /// nothing is in flight and no poll will ever observe anything until
-    /// the guest acts. Used by the idle scheduler to extend the NIC's
-    /// deadline past provably idle poll boundaries; over-conservative
-    /// answers cost speed, never correctness. Relative time keeps the
-    /// hint meaningful even when the backend clock (the shared world) did
-    /// not start with the NIC's.
-    fn next_activity_us(&self) -> Option<u64> {
-        Some(0)
+    /// Whether no poll could act — deliver a frame, retry a send, or
+    /// latch an accept or close interrupt — until the guest issues a
+    /// command or the world moves. The idle scheduler then lets halted
+    /// time run past poll boundaries in one batch. `false` — the
+    /// default — treats every poll as live; a wrong `false` costs speed,
+    /// never correctness.
+    fn quiet(&self) -> bool {
+        false
     }
 }
 
@@ -246,12 +241,8 @@ pub struct Nic {
     err: bool,
     irq_enabled: bool,
     irq_pending: bool,
-    /// Cycles not yet converted to microseconds.
-    cycle_acc: u64,
-    /// Microseconds of backend time advanced so far.
-    time_us: u64,
-    /// Next virtual time at which the backend is polled.
-    next_poll_us: u64,
+    /// CPU cycles left until the next poll boundary (`1..=POLL_CYCLES`).
+    to_poll: u64,
 }
 
 impl Nic {
@@ -274,9 +265,7 @@ impl Nic {
             err: false,
             irq_enabled: false,
             irq_pending: false,
-            cycle_acc: 0,
-            time_us: 0,
-            next_poll_us: POLL_PERIOD_US,
+            to_poll: POLL_CYCLES,
         }
     }
 
@@ -291,7 +280,7 @@ impl Nic {
             let world = world.borrow();
             NicCounters::register_board(world.telemetry(), idx)
         };
-        Nic::with_counters(Box::new(SimBackend::passive(host)), counters)
+        Nic::with_counters(Box::new(SimBackend::new(host)), counters)
     }
 
     /// The counters this NIC reports through.
@@ -477,54 +466,33 @@ impl Device for Nic {
         }
     }
 
-    fn tick(&mut self, cycles: u64) {
-        self.cycle_acc += cycles;
-        let us = self.cycle_acc / CYCLES_PER_US;
-        if us == 0 {
-            return;
-        }
-        self.cycle_acc %= CYCLES_PER_US;
-        let target = self.time_us + us;
-        // Advance to (and poll at) each fixed boundary the new time
-        // crosses, then run the remainder without polling. Boundary
-        // crossings depend only on the accumulated cycle total, never on
-        // tick chunking, so both execution engines observe identical
-        // frames at identical virtual times.
-        while self.next_poll_us <= target {
-            let step = self.next_poll_us - self.time_us;
-            if step > 0 {
-                self.backend.advance(step);
-            }
-            self.time_us = self.next_poll_us;
+    fn tick(&mut self, mut cycles: u64) {
+        // Poll at each fixed boundary the cycle total crosses. Crossings
+        // depend only on the total, never on tick chunking, so both
+        // execution engines observe identical frames at identical
+        // virtual times.
+        while cycles >= self.to_poll {
+            cycles -= self.to_poll;
+            self.to_poll = POLL_CYCLES;
             self.poll_backend();
-            self.next_poll_us += POLL_PERIOD_US;
         }
-        if target > self.time_us {
-            self.backend.advance(target - self.time_us);
-            self.time_us = target;
-        }
+        self.to_poll -= cycles;
     }
 
     fn tick_quantum(&self) -> u64 {
         // Batch to one poll period; the bus flushes the exact total
         // before every port access anyway.
-        POLL_PERIOD_US * CYCLES_PER_US
+        POLL_CYCLES
     }
 
     fn next_deadline(&self) -> Option<u64> {
         // The NIC only acts (polls the backend, possibly raising the rx
-        // interrupt) at fixed poll boundaries, so the next observable
-        // event is the first boundary at which the backend could have
-        // something to say. Polls at earlier boundaries still happen
-        // inside the batched tick — they just provably observe nothing,
-        // because the backend reports no activity before `activity`.
-        let activity = self.time_us + self.backend.next_activity_us()?;
-        let mut boundary = self.next_poll_us;
-        if activity > boundary {
-            // Round the activity time up onto the poll grid.
-            boundary += (activity - boundary).div_ceil(POLL_PERIOD_US) * POLL_PERIOD_US;
-        }
-        Some((boundary - self.time_us) * CYCLES_PER_US - self.cycle_acc)
+        // interrupt) at fixed poll boundaries. A quiet backend gives
+        // those polls nothing to act on until the guest issues a command
+        // — which ends any halted batch — or the world moves, which
+        // happens only at an epoch barrier, where the fleet scheduler
+        // bounds its skip by the world's next event.
+        (!self.backend.quiet()).then_some(self.to_poll)
     }
 
     fn pending(&self) -> Option<Interrupt> {
@@ -553,7 +521,7 @@ impl std::fmt::Debug for Nic {
             .field("rx_frames_queued", &self.rx_pending())
             .field("conn_sel", &self.conn_sel)
             .field("irq_pending", &self.irq_pending)
-            .field("time_us", &self.time_us)
+            .field("to_poll", &self.to_poll)
             .finish()
     }
 }
@@ -568,13 +536,11 @@ struct SimConn {
 /// The production backend: a TCP-offload attachment to a `netsim` host
 /// (see [`SimHost`]). One listener, a handle table of up to
 /// [`MAX_CONNS`] concurrent connections; bytes a send buffer rejects are
-/// retried on the next poll. The backend never moves world time: its
-/// advances accumulate in a local clock only, and the world's owner (the
-/// `rmc2000::fleet` scheduler) moves the world at epoch boundaries.
-pub struct SimBackend {
+/// retried on the next poll. The backend never moves world time; the
+/// world's owner (the `rmc2000::fleet` scheduler) moves it at epoch
+/// boundaries.
+struct SimBackend {
     host: SimHost,
-    /// This board's local clock: microseconds of `advance` accumulated.
-    local_us: u64,
     listener: Option<SocketId>,
     conns: Vec<Option<SimConn>>,
 }
@@ -585,10 +551,9 @@ const LISTEN_BACKLOG: usize = 8;
 
 impl SimBackend {
     /// Wraps a host handle as a passive world participant.
-    pub fn passive(host: SimHost) -> SimBackend {
+    fn new(host: SimHost) -> SimBackend {
         SimBackend {
             host,
-            local_us: 0,
             listener: None,
             conns: (0..MAX_CONNS).map(|_| None).collect(),
         }
@@ -605,17 +570,6 @@ impl SimBackend {
 }
 
 impl NicBackend for SimBackend {
-    fn advance(&mut self, us: u64) {
-        self.local_us += us;
-        // The world's owner moves the clock; debug builds check it kept
-        // its side of the contract (the world reaches a poll boundary
-        // before any board's local clock crosses it by a full period).
-        debug_assert!(
-            self.local_us <= self.host.now() + POLL_PERIOD_US,
-            "world clock fell behind board local clock"
-        );
-    }
-
     fn listen(&mut self, port: u16) -> bool {
         if self.listener.is_none() {
             self.listener = self.host.listen(port, LISTEN_BACKLOG).ok();
@@ -689,35 +643,18 @@ impl NicBackend for SimBackend {
             .is_some_and(|c| self.host.peer_closed(c.sock))
     }
 
-    fn next_activity_us(&self) -> Option<u64> {
-        // Anything a poll (or the boundary's irq recomputation) would act
-        // on right now?
+    fn quiet(&self) -> bool {
+        // Nothing a poll (or the boundary's irq recomputation) would act
+        // on now; socket state changes only when the world moves.
         let any_free = self.conns.iter().any(Option::is_none);
-        let live_now = self
-            .conns
-            .iter()
-            .flatten()
-            .any(|c| {
-                !c.pending_tx.is_empty()
-                    || self.host.available(c.sock) > 0
-                    // An un-closed handle whose peer has gone keeps the
-                    // boundary live so the close interrupt is latched.
-                    || self.host.peer_closed(c.sock)
-            })
-            || (any_free && self.accept_ready());
-        if live_now {
-            return Some(0);
-        }
-        // Otherwise socket state can only change when the world processes
-        // its next scheduled event (delivery, retransmit, timer) — a
-        // lower bound on any observable poll. An empty event queue means
-        // nothing will ever arrive until the guest transmits. The bound
-        // is relative to this board's *local* clock (at most one epoch
-        // behind the world's; the fleet scheduler only consults the hint
-        // at epoch boundaries, with the clocks aligned).
-        self.host
-            .next_event_us()
-            .map(|t| t.saturating_sub(self.local_us))
+        let live = self.conns.iter().flatten().any(|c| {
+            !c.pending_tx.is_empty()
+                || self.host.available(c.sock) > 0
+                // An un-closed handle whose peer has gone keeps the
+                // boundary live so the close interrupt is latched.
+                || self.host.peer_closed(c.sock)
+        }) || (any_free && self.accept_ready());
+        !live
     }
 }
 
@@ -725,15 +662,17 @@ impl NicBackend for SimBackend {
 mod tests {
     use super::*;
 
-    /// A scripted backend for unit tests: frames to deliver per handle,
-    /// capture of frames sent, a counter of connections waiting to be
-    /// accepted.
+    /// A scripted backend for unit tests: frames ready to deliver per
+    /// handle (tests push them between ticks), capture of frames sent, a
+    /// counter of connections waiting to be accepted.
     #[derive(Default)]
     struct Script {
-        /// (deliver at µs, handle, frame)
-        rx: VecDeque<(u64, usize, Vec<u8>)>,
+        /// (handle, frame)
+        rx: VecDeque<(usize, Vec<u8>)>,
         tx: Vec<(usize, Vec<u8>)>,
-        now: u64,
+        /// `poll` calls made by the NIC.
+        polls: usize,
+        quiet: bool,
         listening: Option<u16>,
         open: [bool; MAX_CONNS],
         peer_closed: [bool; MAX_CONNS],
@@ -743,9 +682,6 @@ mod tests {
     type Shared = std::rc::Rc<std::cell::RefCell<Script>>;
 
     impl NicBackend for Shared {
-        fn advance(&mut self, us: u64) {
-            self.borrow_mut().now += us;
-        }
         fn listen(&mut self, port: u16) -> bool {
             self.borrow_mut().listening = Some(port);
             true
@@ -772,12 +708,9 @@ mod tests {
         }
         fn poll(&mut self, handle: usize) -> Option<Vec<u8>> {
             let mut s = self.borrow_mut();
-            let now = s.now;
-            let due = s
-                .rx
-                .iter()
-                .position(|(t, h, _)| *t <= now && *h == handle)?;
-            s.rx.remove(due).map(|(_, _, f)| f)
+            s.polls += 1;
+            let next = s.rx.iter().position(|(h, _)| *h == handle)?;
+            s.rx.remove(next).map(|(_, f)| f)
         }
         fn send(&mut self, handle: usize, frame: &[u8]) {
             self.borrow_mut().tx.push((handle, frame.to_vec()));
@@ -787,6 +720,9 @@ mod tests {
         }
         fn peer_closed(&self, handle: usize) -> bool {
             self.borrow().peer_closed[handle]
+        }
+        fn quiet(&self) -> bool {
+            self.borrow().quiet
         }
     }
 
@@ -808,15 +744,16 @@ mod tests {
     #[test]
     fn frames_arrive_only_at_poll_boundaries() {
         let (mut nic, script) = scripted_open();
-        script.borrow_mut().rx.push_back((10, 0, b"abc".to_vec()));
         nic.write(NIC_IER, 1, true);
-        // 10 µs in: frame is ready in the backend but the boundary
-        // (50 µs) has not been crossed.
         nic.tick(10 * CYCLES_PER_US);
+        // The frame is ready in the backend from 10 µs on, but 40 µs in
+        // the boundary (50 µs) has not been crossed.
+        script.borrow_mut().rx.push_back((0, b"abc".to_vec()));
+        nic.tick(30 * CYCLES_PER_US);
         assert_eq!(nic.rx_pending(), 0);
         assert!(rabbit::Device::pending(&nic).is_none());
         // Crossing the boundary delivers it and raises the interrupt.
-        nic.tick(40 * CYCLES_PER_US);
+        nic.tick(10 * CYCLES_PER_US);
         assert_eq!(nic.rx_pending(), 1);
         assert_eq!(
             rabbit::Device::pending(&nic),
@@ -833,27 +770,52 @@ mod tests {
     fn chunked_ticks_cross_boundaries_identically() {
         let (mut a, sa) = scripted_open();
         let (mut b, sb) = scripted_open();
-        for s in [&sa, &sb] {
-            s.borrow_mut().rx.push_back((49, 0, b"x".to_vec()));
-            s.borrow_mut().rx.push_back((51, 0, b"y".to_vec()));
-        }
         a.write(NIC_IER, 1, true);
         b.write(NIC_IER, 1, true);
-        // One big tick vs many tiny ticks: identical delivery.
-        a.tick(120 * CYCLES_PER_US);
-        for _ in 0..120 * CYCLES_PER_US {
-            b.tick(1);
+        // One big tick vs many tiny ticks, with "x" ready before the
+        // 50 µs boundary and "y" only after it: identical delivery.
+        let tick = |nic: &mut Nic, us: u64, chunked: bool| {
+            if chunked {
+                for _ in 0..us * CYCLES_PER_US {
+                    nic.tick(1);
+                }
+            } else {
+                nic.tick(us * CYCLES_PER_US);
+            }
+        };
+        for (nic, s, chunked) in [(&mut a, &sa, false), (&mut b, &sb, true)] {
+            s.borrow_mut().rx.push_back((0, b"x".to_vec()));
+            tick(nic, 51, chunked);
+            assert_eq!(nic.rx_pending(), 1, "x at the 50 µs boundary");
+            s.borrow_mut().rx.push_back((0, b"y".to_vec()));
+            tick(nic, 69, chunked);
         }
         assert_eq!(a.rx_pending(), b.rx_pending());
         assert_eq!(a.rx_pending(), 2);
-        assert_eq!(sa.borrow().now, sb.borrow().now);
+        // Two boundaries, each polling every handle until it runs dry:
+        // handle 0 twice (its frame, then nothing), the others once.
+        assert_eq!(sa.borrow().polls, sb.borrow().polls);
+        assert_eq!(sa.borrow().polls, 2 * (MAX_CONNS + 1));
+    }
+
+    #[test]
+    fn deadline_is_the_next_boundary_unless_the_backend_is_quiet() {
+        let (mut nic, script) = scripted();
+        let into = 7 * CYCLES_PER_US + 11;
+        nic.tick(into);
+        assert_eq!(nic.next_deadline(), Some(POLL_CYCLES - into));
+        // Crossing a boundary restarts the count on the grid.
+        nic.tick(POLL_CYCLES);
+        assert_eq!(nic.next_deadline(), Some(POLL_CYCLES - into));
+        script.borrow_mut().quiet = true;
+        assert_eq!(nic.next_deadline(), None);
     }
 
     #[test]
     fn rx_frame_reads_and_rx_next() {
         let (mut nic, script) = scripted_open();
-        script.borrow_mut().rx.push_back((0, 0, b"hi".to_vec()));
-        script.borrow_mut().rx.push_back((0, 0, b"z".to_vec()));
+        script.borrow_mut().rx.push_back((0, b"hi".to_vec()));
+        script.borrow_mut().rx.push_back((0, b"z".to_vec()));
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         assert_eq!(nic.read(NIC_RXLEN_LO, true), 2);
         assert_eq!(nic.read(NIC_RXLEN_HI, true), 0);
@@ -918,7 +880,7 @@ mod tests {
     fn ring_full_applies_backpressure_per_handle() {
         let (mut nic, script) = scripted_open();
         for _ in 0..RX_RING + 3 {
-            script.borrow_mut().rx.push_back((0, 0, vec![0u8; 4]));
+            script.borrow_mut().rx.push_back((0, vec![0u8; 4]));
         }
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         assert_eq!(nic.rx_pending_on(0), RX_RING);
@@ -932,8 +894,8 @@ mod tests {
         nic.write(NIC_CMD, CMD_ACCEPT, true); // handle 0
         nic.write(NIC_CONN, 1, true);
         nic.write(NIC_CMD, CMD_ACCEPT, true); // handle 1
-        script.borrow_mut().rx.push_back((0, 0, b"for-zero".to_vec()));
-        script.borrow_mut().rx.push_back((0, 1, b"one".to_vec()));
+        script.borrow_mut().rx.push_back((0, b"for-zero".to_vec()));
+        script.borrow_mut().rx.push_back((1, b"one".to_vec()));
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         // Selected handle is 1: its frame, its length.
         assert_eq!(nic.read(NIC_CONN, true), 1);
@@ -1045,7 +1007,7 @@ mod tests {
     #[test]
     fn close_drops_queued_frames() {
         let (mut nic, script) = scripted_open();
-        script.borrow_mut().rx.push_back((0, 0, b"stale".to_vec()));
+        script.borrow_mut().rx.push_back((0, b"stale".to_vec()));
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         assert_eq!(nic.rx_pending_on(0), 1);
         nic.write(NIC_CMD, CMD_CLOSE, true);

@@ -9,30 +9,26 @@
 //! `Board::run` calls (2,200 cycles, then 1,500) put the poll boundary at
 //! cycle 3,000 inside the second one.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use rabbit::{assemble, Engine};
 use rmc2000::nic::{CYCLES_PER_US, NIC_IER, POLL_PERIOD_US};
 use rmc2000::{Board, Nic, NicBackend, RunOutcome, NIC_VECTOR};
 
-/// When the backlog's only connection arrives, in backend µs: between
-/// the first poll boundary (50 µs) and the second (100 µs, cycle 3,000).
-const ARRIVES_US: u64 = 60;
-
-/// A backend whose listen backlog fills at [`ARRIVES_US`] and never
-/// drains: from the next poll boundary on, the NIC holds its interrupt.
-#[derive(Default)]
+/// A backend whose listen backlog fills when the test sets the shared
+/// flag and never drains: from the next poll boundary on, the NIC holds
+/// its interrupt.
 struct Backlog {
-    now_us: u64,
+    arrived: Rc<Cell<bool>>,
 }
 
 impl NicBackend for Backlog {
-    fn advance(&mut self, us: u64) {
-        self.now_us += us;
-    }
     fn listen(&mut self, _port: u16) -> bool {
         true
     }
     fn accept_ready(&self) -> bool {
-        self.now_us >= ARRIVES_US
+        self.arrived.get()
     }
     fn accept(&mut self, _handle: usize) -> bool {
         false
@@ -73,12 +69,18 @@ fn firmware() -> String {
 
 /// HL, instructions and cycles at the ISR's `halt`.
 fn taken_at(engine: Engine) -> (u16, u64, u64) {
+    let arrived = Rc::new(Cell::new(false));
     let mut board = Board::with_engine(engine);
-    board.attach_nic(Nic::new(Box::new(Backlog::default())));
+    board.attach_nic(Nic::new(Box::new(Backlog {
+        arrived: Rc::clone(&arrived),
+    })));
     board.load(&assemble(&firmware()).expect("firmware assembles"));
     board.set_pc(0x4000);
     assert_eq!(board.run(2_200), RunOutcome::BudgetExhausted);
     assert!(!board.cpu.halted, "{engine:?}: no interrupt before cycle 3,000");
+    // The connection arrives between the first poll boundary (cycle
+    // 1,500) and the second (cycle 3,000).
+    arrived.set(true);
     // Dispatch acknowledges the request, so the line stays low until the
     // next poll boundary and the run returns as soon as the ISR halts.
     assert_eq!(board.run(1_500), RunOutcome::Halted, "{engine:?}: the ISR ran");
