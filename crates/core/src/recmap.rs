@@ -1,5 +1,5 @@
 //! The shared record-layer wire map: one source of truth for the issl
-//! record framing constants, exactly as [`rabbit::nicmap`] is for the NIC
+//! record framing constants, exactly as `rabbit::nicmap` is for the NIC
 //! register file.
 //!
 //! Three consumers must agree byte-for-byte on these values:

@@ -3,7 +3,7 @@
 //! the socket and then do secure read/writes on it").
 //!
 //! The protocol logic itself lives in the sans-I/O
-//! [`SessionMachine`](crate::machine::SessionMachine); [`Session`] is the
+//! [`SessionMachine`]; [`Session`] is the
 //! blocking convenience wrapper that pumps a [`Wire`] through one —
 //! byte-identical to the original blocking implementation (pinned by the
 //! `sans_io_equiv` property tests).

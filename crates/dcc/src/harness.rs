@@ -79,7 +79,7 @@ pub fn build(source: &str, opts: Options) -> Result<Build, HarnessError> {
 
 /// Compiles and assembles a *firmware* program: interrupt vectors from
 /// `vectors` (address, `interrupt` function name) are emitted alongside
-/// the code, for images that run on a full [`rmc2000`-style] board with
+/// the code, for images that run on a full `rmc2000`-style board with
 /// NIC and serial interrupts rather than under the halt-and-read-result
 /// harness.
 ///

@@ -1,12 +1,13 @@
 //! Raw host attach point: a shareable handle to one host inside a
 //! [`World`].
 //!
-//! Device models outside this crate (the `rmc2000` NIC) need to *be* a
-//! host on the simulated network: accept connections and move bytes — all
-//! through one owned handle while the test harness keeps a second handle
-//! on the same world for the remote peers. [`SimHost`] packages an
-//! `Rc<RefCell<World>>` plus a [`HostId`] behind a borrow-free API so a
-//! peripheral can hold it without naming the interior mutability.
+//! Code outside this crate needs to *be* a host on the simulated network
+//! (the `rmc2000` fleet does, for each board's NIC): accept connections
+//! and move bytes — all through one owned handle while the test harness
+//! keeps a second handle on the same world for the remote peers.
+//! [`SimHost`] packages an `Rc<RefCell<World>>` plus a [`HostId`] behind
+//! a borrow-free API so its owner can hold it without naming the
+//! interior mutability.
 //!
 //! Everything here forwards to the [`World`] socket API; determinism is
 //! inherited ([`World::run_for`] is granularity-independent, so time may
@@ -73,11 +74,6 @@ impl SimHost {
         self.world.borrow().telemetry().counter(name, &[])
     }
 
-    /// Connections waiting to be accepted on `listener`.
-    pub fn pending(&self, listener: SocketId) -> usize {
-        self.world.borrow().tcp_pending(listener)
-    }
-
     /// Passive open on `port`.
     ///
     /// # Errors
@@ -121,6 +117,19 @@ impl SimHost {
     /// Receives into `buf`.
     pub fn recv(&mut self, id: SocketId, buf: &mut [u8]) -> Recv {
         self.world.borrow_mut().tcp_recv(id, buf)
+    }
+
+    /// Appends the bytes a `recv` on `id` would deliver to `out`,
+    /// without consuming them ([`World::tcp_peek`]).
+    pub fn peek(&self, id: SocketId, out: &mut impl Extend<u8>) {
+        out.extend(self.world.borrow().tcp_peek(id));
+    }
+
+    /// Replaces `out` with `listener`'s backlog, oldest first
+    /// ([`World::tcp_backlog`]).
+    pub fn backlog(&self, listener: SocketId, out: &mut Vec<SocketId>) {
+        out.clear();
+        out.extend(self.world.borrow().tcp_backlog(listener));
     }
 
     /// Room left in `id`'s send buffer, in bytes.
@@ -188,5 +197,74 @@ mod tests {
         let mut buf = [0u8; 8];
         assert_eq!(a.recv(server, &mut buf), Recv::Data(4));
         assert_eq!(&buf[..4], b"ping");
+    }
+
+    /// A server host listening on port 7 with `clients` connections
+    /// waiting in its backlog, each of which has sent `hello <i>`.
+    fn backlogged(clients: usize) -> (Rc<RefCell<World>>, SimHost, SocketId) {
+        let world = Rc::new(RefCell::new(World::new(7)));
+        let mut a = SimHost::attach(&world, "a", Ipv4::new(10, 0, 0, 1));
+        let l = a.listen(7, 8).expect("listen");
+        for i in 0..clients {
+            let mut c = SimHost::attach(&world, "c", Ipv4::new(10, 0, 1, i as u8 + 1));
+            world
+                .borrow_mut()
+                .link(a.id(), c.id(), LinkParams::lan_100m());
+            let s = c.connect(Endpoint::new(a.ip(), 7));
+            world.borrow_mut().run_for(2_000);
+            assert_eq!(c.send(s, format!("hello {i}").as_bytes()), 7);
+        }
+        world.borrow_mut().run_for(2_000);
+        world.borrow_mut().enable_trace();
+        (world, a, l)
+    }
+
+    /// Everything a mutating call would move: the wire trace, the event
+    /// queue and the telemetry snapshot (the `net.*` counters).
+    fn observables(world: &Rc<RefCell<World>>) -> (usize, Option<u64>, String) {
+        let w = world.borrow();
+        (
+            w.trace().len(),
+            w.next_event_time(),
+            w.telemetry().snapshot().to_text(),
+        )
+    }
+
+    #[test]
+    fn peek_is_a_pure_read_and_recv_returns_the_same_bytes() {
+        let (world, mut a, l) = backlogged(1);
+        let s = a.accept(l).expect("one pending");
+        let before = observables(&world);
+        let mut peeked = Vec::new();
+        a.peek(s, &mut peeked);
+        a.peek(s, &mut peeked);
+        assert_eq!(peeked, b"hello 0hello 0");
+        assert_eq!(observables(&world), before, "peek moves nothing");
+        assert_eq!(a.available(s), 7);
+        let mut buf = [0u8; 16];
+        assert_eq!(a.recv(s, &mut buf), Recv::Data(7));
+        assert_eq!(&buf[..7], &peeked[..7]);
+        // The window update is recv's alone.
+        assert_eq!(observables(&world).0, before.0 + 1, "recv sends one ACK");
+    }
+
+    #[test]
+    fn backlog_lists_in_accept_order_without_moving_anything() {
+        let (world, mut a, l) = backlogged(3);
+        let before = observables(&world);
+        let mut listed = vec![l];
+        a.backlog(l, &mut listed);
+        a.backlog(l, &mut listed);
+        assert_eq!(listed.len(), 3);
+        assert_eq!(world.borrow().tcp_pending(l), 3, "listing accepts nothing");
+        assert_eq!(observables(&world), before, "listing moves nothing");
+        for (i, &sock) in listed.iter().enumerate() {
+            assert_eq!(a.accept(l), Some(sock));
+            let mut hello = Vec::new();
+            a.peek(sock, &mut hello);
+            assert_eq!(hello, format!("hello {i}").into_bytes());
+        }
+        assert_eq!(a.accept(l), None);
+        assert_eq!(observables(&world), before, "accept sends nothing");
     }
 }

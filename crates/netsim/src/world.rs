@@ -745,6 +745,15 @@ impl World {
             .map_or(0, |s| s.backlog.len())
     }
 
+    /// The connections waiting in a listener's backlog, in the order
+    /// [`World::tcp_accept`] would pop them. A pure read.
+    pub fn tcp_backlog(&self, listener: SocketId) -> impl Iterator<Item = SocketId> + '_ {
+        self.socks[listener.0]
+            .as_ref()
+            .into_iter()
+            .flat_map(|s| s.backlog.iter().copied())
+    }
+
     /// Connection state of a socket.
     pub fn tcp_state(&self, id: SocketId) -> TcpState {
         self.socks[id.0]
@@ -833,6 +842,18 @@ impl World {
     /// Bytes readable right now.
     pub fn tcp_available(&self, id: SocketId) -> usize {
         self.socks[id.0].as_ref().map_or(0, TcpSocket::available)
+    }
+
+    /// The bytes a [`World::tcp_recv`] of `id` would deliver, without
+    /// consuming them: a pure read, so it sends no window update and a
+    /// later `tcp_recv` returns the same bytes. A reset connection
+    /// delivers nothing.
+    pub fn tcp_peek(&self, id: SocketId) -> impl Iterator<Item = u8> + '_ {
+        self.socks[id.0]
+            .as_ref()
+            .filter(|s| !s.reset)
+            .into_iter()
+            .flat_map(|s| s.recv_buf.iter().copied())
     }
 
     /// Bytes not yet acknowledged by the peer (0 once everything sent has

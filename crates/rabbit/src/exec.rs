@@ -1,7 +1,7 @@
 //! Block-caching execution engine.
 //!
 //! [`Cpu::run_fast`] is a drop-in replacement for [`Cpu::run`] that decodes
-//! straight-line instruction runs into cached [`Block`]s of micro-ops and
+//! straight-line instruction runs into cached `Block`s of micro-ops and
 //! replays them without re-fetching, re-decoding, or re-translating every
 //! byte. It is *cycle-exact and state-exact* with respect to the `step`
 //! interpreter — the differential tests in `tests/differential.rs` pin that

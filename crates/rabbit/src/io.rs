@@ -293,6 +293,22 @@ impl Bus {
             .expect("device type mismatch")
     }
 
+    /// Typed exclusive access that leaves pending ticks undelivered: for
+    /// host-side state outside device time, which must not move a
+    /// device's own events (a NIC poll) to the other side of a step of
+    /// the outside world.
+    ///
+    /// # Panics
+    ///
+    /// If `T` is not the concrete type of the device behind `id`.
+    pub fn device_mut_unticked<T: Device>(&mut self, id: DeviceId) -> &mut T {
+        self.slots[id.0]
+            .dev
+            .as_any_mut()
+            .downcast_mut::<T>()
+            .expect("device type mismatch")
+    }
+
     /// Names of the attached devices, in attach (= arbitration-tie) order.
     pub fn device_names(&self) -> Vec<&'static str> {
         self.slots.iter().map(|s| s.dev.name()).collect()

@@ -10,7 +10,7 @@ use rabbit::io::ports;
 use rabbit::{Bus, Cpu, Device, DeviceId, Engine, Fault, Image, IoSpace, Memory, PortRange};
 use telemetry::Counter;
 
-use crate::nic::Nic;
+use crate::nic::{Nic, NicPort};
 use crate::serial::SerialPort;
 
 /// The free-running real-time clock: a cycle counter latched into the
@@ -194,12 +194,13 @@ impl Board {
         self.nic_id.map(|id| self.bus.device(id))
     }
 
-    /// The NIC, mutably, when one is attached.
-    pub fn nic_mut(&mut self) -> Option<&mut Nic> {
-        match self.nic_id {
-            Some(id) => Some(self.bus.device_mut(id)),
-            None => None,
-        }
+    /// The NIC's port, when a NIC is attached, for the barrier's fill
+    /// and drain. This delivers no pending device time: a poll boundary
+    /// the board's last instruction crossed is still polled inside the
+    /// board's next slice, against the port that slice was filled with.
+    pub fn nic_port_mut(&mut self) -> Option<&mut NicPort> {
+        let id = self.nic_id?;
+        Some(self.bus.device_mut_unticked::<Nic>(id).port_mut())
     }
 
     /// Loads an assembled image through the programming port, honouring
@@ -258,7 +259,7 @@ impl Board {
     ///
     /// Execution goes through [`Board::engine`] (the block-caching engine
     /// by default); waiting in `halt` for an interrupt goes through the
-    /// event-horizon scheduler ([`Board::halted_advance`]), which is
+    /// event-horizon scheduler (`Board::halted_advance`), which is
     /// engine-independent by construction.
     ///
     /// Each engine run ends no later than the bus's next device deadline

@@ -1,13 +1,13 @@
 //! Fleet scheduler: N boards, one deterministic world, one clock owner.
 //!
 //! The [`Fleet`] scheduler is the only party that advances the shared
-//! [`World`]; every board's NIC backend is a passive participant that
-//! reads `now` and moves bytes. A NIC that dragged the clock forward
-//! whenever its board crossed a poll boundary could not scale past one
-//! board: whoever polled first would advance time under the others'
-//! feet, and every observable would become a function of host-side
-//! iteration order. [`fleet_serve`] is the one serving driver; a
-//! single-board run is a fleet of one.
+//! [`World`], and the only one that calls into it for a board: a board's
+//! NIC holds a plain-data [`NicPort`], never a world handle. A NIC that
+//! dragged the clock forward whenever its board crossed a poll boundary
+//! could not scale past one board: whoever polled first would advance
+//! time under the others' feet, and every observable would become a
+//! function of host-side iteration order. [`fleet_serve`] is the one
+//! serving driver; a single-board run is a fleet of one.
 //!
 //! # The epoch barrier
 //!
@@ -17,12 +17,17 @@
 //!
 //! 1. the world runs `(T-50, T]` first — every in-flight segment due in
 //!    the window is delivered before any board looks;
-//! 2. each board then executes its own `(T-50, T]` cycle slice; its NIC
-//!    poll at the epoch boundary observes the world at exactly `T`.
+//! 2. the exchange: each slot's [`SocketTable`] fills its board's port
+//!    with what the world holds at `T`;
+//! 3. each board executes its own `(T-50, T]` cycle slice against its
+//!    port, which logs the `netsim` calls the guest's commands and NIC
+//!    polls ask for;
+//! 4. the ports are drained in slot order: every logged call is made,
+//!    stamped at `T`.
 //!
-//! Within an epoch the boards touch disjoint state (their own sockets,
-//! their own memories), and every send a board performs is stamped at
-//! the same world time `T`, so the order boards are visited in is
+//! Within an epoch the boards touch disjoint state (their own ports,
+//! their own memories), and every call a board asks for is made at the
+//! same world time `T`, so the order boards are visited in is
 //! unobservable: shuffling the per-epoch visit order changes no
 //! transcript, counter, or cycle count. Poll boundaries depend only on
 //! accumulated cycle totals, so both CPU engines see identical crossings
@@ -45,13 +50,15 @@ use rabbit::nicmap::MAX_CONNS;
 use rabbit::{Engine, IoSpace};
 use telemetry::{ProfileReport, SymbolTable};
 
-use netsim::{Endpoint, Ipv4, LinkId, LinkParams, LoadBalancer, SimHost, SocketId, World};
+use netsim::{Endpoint, Ipv4, LinkId, LinkParams, LoadBalancer, Recv, SimHost, SocketId, World};
 
 pub use netsim::{BackendStats, LbPolicy};
 
 use crate::board::{Board, RunOutcome};
 use crate::faults::{AppliedFault, FaultEvent, FaultPlan, FaultReport, ScheduledFault};
-use crate::nic::{Nic, CYCLES_PER_US, POLL_PERIOD_US};
+use crate::nic::{
+    Nic, NicCounters, NicPort, PortCmd, PortConn, CYCLES_PER_US, FRAME_MAX, POLL_PERIOD_US,
+};
 use crate::secure::{
     build_secure_firmware, client_states, step_client, ClientOutcome, ConnCounters, GuestClient,
     SECURE_PORT,
@@ -80,9 +87,143 @@ pub enum BoardState {
     Wedged,
 }
 
+/// One bound connection in a [`SocketTable`].
+struct SimConn {
+    sock: SocketId,
+    /// Bytes the send buffer rejected, offered again at every flush.
+    pending_tx: Vec<u8>,
+}
+
+/// Listen backlog: connections beyond the handle table wait here until
+/// the guest frees a handle (the paper's 4th and 5th clients).
+const LISTEN_BACKLOG: usize = 8;
+
+/// The world's side of one board's [`NicPort`]: the board's `netsim`
+/// host, its listener, and the socket behind each connection handle.
+/// [`SocketTable::fill`] shows the port what the world holds;
+/// [`SocketTable::drain`] makes the `netsim` calls the port logged.
+pub struct SocketTable {
+    host: SimHost,
+    listener: Option<SocketId>,
+    conns: [Option<SimConn>; MAX_CONNS],
+    /// The listener's backlog at the last fill (kept to reuse its
+    /// buffer).
+    backlog: Vec<SocketId>,
+}
+
+impl SocketTable {
+    /// An empty table for `host`.
+    pub fn new(host: SimHost) -> SocketTable {
+        SocketTable {
+            host,
+            listener: None,
+            conns: Default::default(),
+            backlog: Vec::new(),
+        }
+    }
+
+    /// The board's host.
+    pub fn host(&self) -> &SimHost {
+        &self.host
+    }
+
+    /// Copies the world's state into `port`: every bound handle's and
+    /// every backlogged connection's readable bytes, flags and send
+    /// room. Call it after each `World::run_for`, with the port drained.
+    pub fn fill(&mut self, port: &mut NicPort) {
+        debug_assert!(port.log.is_empty(), "drain the port before filling it");
+        let host = &self.host;
+        for (conn, bound) in self.conns.iter().zip(&mut port.conns) {
+            debug_assert_eq!(conn.is_some(), bound.is_some(), "port and table agree");
+            if let (Some(c), Some(b)) = (conn, bound) {
+                read_conn(host, c.sock, c.pending_tx.len(), b);
+            }
+        }
+        match self.listener {
+            Some(l) => host.backlog(l, &mut self.backlog),
+            None => self.backlog.clear(),
+        }
+        port.backlog.resize_with(self.backlog.len(), PortConn::default);
+        for (&sock, waiting) in self.backlog.iter().zip(&mut port.backlog) {
+            read_conn(host, sock, 0, waiting);
+        }
+    }
+
+    /// Makes the `netsim` calls `port`'s log asks for, in order, then
+    /// clears the log.
+    ///
+    /// # Panics
+    ///
+    /// If the log accepts a connection the last fill did not list, or
+    /// listens on a port already held.
+    pub fn drain(&mut self, port: &mut NicPort) {
+        let mut tx = &port.tx[..];
+        for cmd in port.log.drain(..) {
+            match cmd {
+                PortCmd::Listen(p) => {
+                    let l = self.host.listen(p, LISTEN_BACKLOG);
+                    self.listener = Some(l.expect("the NIC listens once, on its own host"));
+                }
+                PortCmd::Accept(h) => {
+                    let sock = self.listener.and_then(|l| self.host.accept(l));
+                    self.conns[h] = Some(SimConn {
+                        sock: sock.expect("the port accepts only what the fill listed"),
+                        pending_tx: Vec::new(),
+                    });
+                }
+                PortCmd::Close(h) => {
+                    if let Some(conn) = self.conns[h].take() {
+                        // A graceful close still delivers what fit in the
+                        // send buffer; bytes beyond it are dropped.
+                        self.host.close(conn.sock);
+                    }
+                }
+                PortCmd::Send { handle, len } => {
+                    let (frame, rest) = tx.split_at(len);
+                    tx = rest;
+                    if let Some(conn) = self.conns[handle].as_mut() {
+                        conn.pending_tx.extend_from_slice(frame);
+                    }
+                    self.flush(handle);
+                }
+                PortCmd::Flush(h) => self.flush(h),
+                PortCmd::Recv { handle, len } => {
+                    if let Some(conn) = &self.conns[handle] {
+                        let mut frame = [0u8; FRAME_MAX];
+                        let got = self.host.recv(conn.sock, &mut frame[..len]);
+                        debug_assert_eq!(got, Recv::Data(len), "the port showed these bytes");
+                    }
+                }
+            }
+        }
+        port.tx.clear();
+    }
+
+    /// Offers `handle`'s unsent bytes to its send buffer.
+    fn flush(&mut self, handle: usize) {
+        if let Some(conn) = self.conns[handle].as_mut() {
+            if !conn.pending_tx.is_empty() {
+                let sent = self.host.send(conn.sock, &conn.pending_tx);
+                conn.pending_tx.drain(..sent);
+            }
+        }
+    }
+}
+
+/// Shows `port` socket `sock` as the world holds it, with `unsent` bytes
+/// still waiting for its send buffer.
+fn read_conn(host: &SimHost, sock: SocketId, unsent: usize, port: &mut PortConn) {
+    port.established = host.established(sock);
+    port.peer_closed = host.peer_closed(sock);
+    port.send_room = host.send_room(sock);
+    port.unsent = unsent;
+    port.rx.clear();
+    host.peek(sock, &mut port.rx);
+}
+
 struct Slot {
     board: Board,
-    host: SimHost,
+    sockets: SocketTable,
     /// Absolute cycle target at the current epoch's end. Instruction
     /// overshoot (a board cannot stop mid-instruction) carries forward:
     /// the next epoch's slice is that much shorter.
@@ -123,17 +264,21 @@ impl Fleet {
         self.epochs
     }
 
-    /// Adds board `len()`: a passive NIC backend (only this scheduler
-    /// advances the clock) and telemetry namespaced under `board<idx>.`.
+    /// Adds board `len()`: a NIC whose port this scheduler exchanges at
+    /// every barrier, and telemetry namespaced under `board<idx>.`.
     pub fn add_board(&mut self, engine: Engine, name: &str, ip: Ipv4) -> usize {
         let idx = self.slots.len();
         let host = SimHost::attach(&self.world, name, ip);
         let mut board = Board::with_engine(engine);
-        board.bind_telemetry_board(self.world.borrow().telemetry(), idx);
-        board.attach_nic(Nic::fleet_attached(host.clone(), idx));
+        {
+            let world = self.world.borrow();
+            board.bind_telemetry_board(world.telemetry(), idx);
+            let counters = NicCounters::register_board(world.telemetry(), idx);
+            board.attach_nic(Nic::with_counters(counters));
+        }
         self.slots.push(Slot {
             board,
-            host,
+            sockets: SocketTable::new(host),
             target: 0,
             state: BoardState::Running,
         });
@@ -152,12 +297,12 @@ impl Fleet {
 
     /// Board `i`'s network host handle.
     pub fn host(&self, i: usize) -> &SimHost {
-        &self.slots[i].host
+        self.slots[i].sockets.host()
     }
 
     /// Board `i`'s IP address.
     pub fn ip(&self, i: usize) -> Ipv4 {
-        self.slots[i].host.ip()
+        self.host(i).ip()
     }
 
     /// Whether board `i` is parked: halted with no dispatchable
@@ -216,11 +361,32 @@ impl Fleet {
             (0..self.slots.len()).collect::<Vec<_>>(),
             "order visits every board exactly once"
         );
-        self.world.borrow_mut().run_for(EPOCH_US);
+        self.run_world(EPOCH_US);
         for &i in order {
             self.advance_slot(i);
         }
+        self.drain_ports();
         self.epochs += 1;
+    }
+
+    /// The barrier's exchange around one world step: every port's logged
+    /// commands reach the world, the world runs `us`, and every port is
+    /// filled with what it then holds.
+    fn run_world(&mut self, us: u64) {
+        self.drain_ports();
+        self.world.borrow_mut().run_for(us);
+        for s in &mut self.slots {
+            let port = s.board.nic_port_mut().expect("fleet boards carry a NIC");
+            s.sockets.fill(port);
+        }
+    }
+
+    /// Drains every board's port, in slot order.
+    fn drain_ports(&mut self) {
+        for s in &mut self.slots {
+            let port = s.board.nic_port_mut().expect("fleet boards carry a NIC");
+            s.sockets.drain(port);
+        }
     }
 
     /// Brings board `i` up to its epoch-end cycle target, mixing
@@ -284,7 +450,7 @@ impl Fleet {
         if k == 0 {
             return 0;
         }
-        self.world.borrow_mut().run_for(k * EPOCH_US);
+        self.run_world(k * EPOCH_US);
         for s in &mut self.slots {
             if s.state == BoardState::Wedged {
                 continue;
@@ -295,6 +461,7 @@ impl Fleet {
                 s.board.idle(left);
             }
         }
+        self.drain_ports();
         self.epochs += k;
         k
     }
@@ -546,15 +713,28 @@ impl FaultDriver {
 /// # Panics
 ///
 /// If the spec is malformed (no boards, more than 255 boards or
-/// clients, a `dials` list of the wrong length) — checked before any
-/// work — or if a board's firmware faults or the session does not
-/// converge.
+/// clients, a `dials` list of the wrong length, a visit order that is
+/// not a permutation of the boards, a dead link naming no board) —
+/// checked before any work — or if a board's firmware faults or the
+/// session does not converge.
 pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
     assert!(spec.boards >= 1, "a fleet has at least one board");
     assert!(
         spec.dials.is_empty() || spec.dials.len() == spec.clients.len(),
         "one dial time per client"
     );
+    for order in &spec.orders {
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert!(
+            sorted.into_iter().eq(0..spec.boards),
+            "visit order {order:?} is not a permutation of {} boards",
+            spec.boards
+        );
+    }
+    if let Some(b) = spec.dead_links.iter().find(|&&b| b >= spec.boards) {
+        panic!("dead link names board {b} of {}", spec.boards);
+    }
     let board_ips: Vec<Ipv4> = (0..spec.boards).map(|i| fleet_ip(1, i)).collect();
     let client_ips: Vec<Ipv4> = (0..spec.clients.len()).map(|i| fleet_ip(2, i)).collect();
     let (build, port) = match &spec.firmware {
@@ -920,6 +1100,22 @@ mod tests {
     fn short_dials_list_is_refused_before_boot() {
         let mut spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(2));
         spec.dials = vec![0];
+        let _ = fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "visit order [0, 0] is not a permutation of 2 boards")]
+    fn repeated_board_in_a_visit_order_is_refused_before_boot() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 2, b"", echo_clients(1));
+        spec.orders = vec![vec![1, 0], vec![0, 0]];
+        let _ = fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "dead link names board 2 of 2")]
+    fn dead_link_past_the_fleet_is_refused_before_boot() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 2, b"", echo_clients(1));
+        spec.dead_links = vec![1, 2];
         let _ = fleet_serve(&spec);
     }
 

@@ -1,9 +1,9 @@
 //! A model of the **RMC2000 TCP/IP Development Kit**: the Rabbit 2000 CPU
 //! with 512 KiB flash and 128 KiB SRAM behind a device bus that carries
 //! serial port A (receive interrupts — the paper's §5.1 debugging
-//! channel), a free-running real-time clock, and a port-mapped NIC
-//! bridged to a `netsim` host, plus `defineErrorHandler`-style fault
-//! dispatch.
+//! channel), a free-running real-time clock, and a port-mapped NIC that
+//! meets a `netsim` host through a plain-data port, plus
+//! `defineErrorHandler`-style fault dispatch.
 //!
 //! Two network paths exist in the repo, at different levels of the stack:
 //! `sockets::dynic` models the kit's TCP/IP *API* for host-compiled
@@ -11,10 +11,11 @@
 //! simulated network — the [`nic::Nic`] device converts executed cycles
 //! to virtual microseconds and serves TCP through `ioe`-mapped packet
 //! windows. The [`fleet::Fleet`] scheduler owns the `netsim` world's
-//! clock and advances every board in lockstep epochs, so boards and
-//! network share one deterministic timeline. [`fleet_serve`] is the one
-//! serving driver: compiled-C firmware ([`serve`], [`secure`]) on one or
-//! more boards behind a load balancer, against host-side clients.
+//! clock, advances every board in lockstep epochs and exchanges each
+//! NIC's port at the barrier, so boards and network share one
+//! deterministic timeline. [`fleet_serve`] is the one serving driver:
+//! compiled-C firmware ([`serve`], [`secure`]) on one or more boards
+//! behind a load balancer, against host-side clients.
 //!
 //! ```
 //! use rmc2000::{Board, RunOutcome};
@@ -46,7 +47,7 @@ pub use fleet::{
     fleet_serve, BackendStats, BoardReport, BoardState, Fleet, FleetFirmware, FleetRun, FleetSpec,
     LbPolicy, EPOCH_CYCLES, EPOCH_US,
 };
-pub use nic::{Nic, NicBackend, NicCounters, NIC_VECTOR};
+pub use nic::{Nic, NicCounters, NicPort, PortCmd, PortConn, NIC_VECTOR};
 pub use secure::{
     build_secure_firmware, ClientOutcome, ConnCounters, GuestClient, Tamper, ALERT_KIND_LABELS,
     SECURE_PORT,

@@ -1,5 +1,5 @@
-//! The network interface controller: the board's port-mapped NIC, bridged
-//! to a `netsim` host.
+//! The network interface controller: the board's port-mapped NIC, which
+//! meets the network only through a plain-data [`NicPort`].
 //!
 //! The real RMC2000 carries a 10Base-T NIC on the Rabbit's external I/O
 //! bus, with Dynamic C's TCP/IP library terminating TCP on the CPU. This
@@ -8,16 +8,33 @@
 //! simulated network stack, like a TCP-offload NIC: the frames the guest
 //! exchanges through the rings are TCP payload chunks. Guest cycles set
 //! the NIC's poll grid: [`Nic::tick`] counts CPU cycles and polls the
-//! backend every [`POLL_PERIOD_US`] of virtual time at [`CYCLES_PER_US`]
+//! port every [`POLL_PERIOD_US`] of virtual time at [`CYCLES_PER_US`]
 //! (the repo-wide 30 MHz board clock).
 //!
-//! The backend keeps no clock. It is a passive participant in the shared
-//! `netsim` world: it reads socket state and moves bytes, but never
-//! advances time; the `rmc2000::fleet` scheduler owns the world clock and
-//! brings it to each epoch boundary before any board's poll grid gets
-//! there, so instruction execution and packet delivery share one
-//! deterministic timeline. Code that drives a board without a fleet must
-//! advance the world itself, world first.
+//! # The port
+//!
+//! The NIC holds no handle on the network. What it knows of its
+//! connections is data in its [`NicPort`]; what it asks of the network
+//! is a [`PortCmd`] appended to the port's log. This is the narrow,
+//! polled boundary Dynamic C's `tcp_tick` gives application code. The
+//! owner of the world exchanges the port at the epoch barrier
+//! ([`crate::fleet::SocketTable`]):
+//!
+//! - **Fill**, after every `World::run_for`. For each bound handle, and
+//!   for each connection in the listen backlog in accept order: every
+//!   byte a `recv` would deliver, the established and peer-closed flags,
+//!   the send buffer's room, and the bytes the send buffer has not taken
+//!   yet.
+//! - **Drain**, after the board's slice. The logged commands become
+//!   `netsim` calls in log order: `listen`, `accept`, `close`, every
+//!   `send` and retry of unsent bytes, and a `recv` for every frame the
+//!   NIC took. Then the log is cleared.
+//!
+//! The world is frozen between the two, so the port's answers stay exact
+//! as long as the NIC mirrors the three effects of its own commands:
+//! `ACCEPT` pops the backlog, a poll takes readable bytes, and a send or
+//! retry spends send room. A board cannot reach the world in the middle
+//! of a slice, and the types say so: `Nic` is `Send`.
 //!
 //! # Connection handles
 //!
@@ -59,21 +76,20 @@
 //!
 //! The bus delivers exact cycle totals at every `ioi`/`ioe` access (which
 //! are barriers in the block-caching engine), but the two engines tick in
-//! different chunkings. The NIC therefore polls the backend for received
+//! different chunkings. The NIC therefore polls the port for received
 //! data only at fixed virtual-time boundaries (every
 //! [`POLL_PERIOD_US`]); boundary crossings depend only on the cycle
 //! *total*, so frame chunking — and hence every guest-visible register —
 //! is byte-identical under `Engine::Interpreter` and
 //! `Engine::BlockCache`. The interrupt level is recomputed only at poll
 //! boundaries and at register writes (both cycle-exact points); status
-//! reads query the backend live, which is equally deterministic because
-//! backend state only changes at epoch barriers (when the world's owner
-//! advances it) or through guest commands.
+//! reads answer from the port live, which is equally deterministic
+//! because port data changes only at the barrier or through guest
+//! commands.
 
 use std::any::Any;
 use std::collections::VecDeque;
 
-use netsim::{SimHost, SocketId};
 use rabbit::{Device, Interrupt, PortRange};
 use telemetry::Counter;
 
@@ -88,62 +104,148 @@ pub use rabbit::nicmap::{
 pub const NIC_VECTOR: u16 = 0x00F0;
 /// CPU cycles per microsecond of virtual time (the 30 MHz board clock).
 pub const CYCLES_PER_US: u64 = 30;
-/// Virtual-time period between backend polls.
+/// Virtual-time period between port polls.
 pub const POLL_PERIOD_US: u64 = 50;
-/// CPU cycles between backend polls.
+/// CPU cycles between port polls.
 const POLL_CYCLES: u64 = POLL_PERIOD_US * CYCLES_PER_US;
 /// Largest frame the rings carry.
 pub const FRAME_MAX: usize = 1024;
-/// Receive-ring depth per handle, in frames; the backend holds further
-/// data back (TCP flow control) while a handle's ring is full.
+/// Receive-ring depth per handle, in frames; further bytes stay in the
+/// port (and the socket: TCP flow control) while a handle's ring is full.
 pub const RX_RING: usize = 8;
 
-/// What the NIC plugs into: a transport that produces and consumes
-/// payload frames over a table of connection handles.
-///
-/// The backend keeps no clock; the NIC calls [`NicBackend::poll`] at its
-/// own poll boundaries. Handle indices are always `< MAX_CONNS` (the
-/// register file range-checks `CONN`).
-pub trait NicBackend {
-    /// Opens the listening socket on `port`. `false` if it could not be
-    /// opened (port in use).
-    fn listen(&mut self, port: u16) -> bool;
+/// One connection as the port carries it: what the world showed at the
+/// last fill, less what the NIC has taken since.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PortConn {
+    /// The TCP handshake has completed.
+    pub established: bool,
+    /// The peer has closed its direction, or reset the connection.
+    pub peer_closed: bool,
+    /// Bytes a `recv` would deliver, oldest first; a poll takes frames
+    /// off the front.
+    pub rx: VecDeque<u8>,
+    /// Bytes the socket's send buffer accepts.
+    pub send_room: usize,
+    /// Bytes the guest sent that the send buffer has not accepted yet.
+    /// Every poll of the handle retries them.
+    pub unsent: usize,
+}
 
-    /// Whether a connection waits in the listen backlog.
-    fn accept_ready(&self) -> bool;
+impl PortConn {
+    /// The send buffer takes what it has room for of the unsent bytes.
+    fn flush(&mut self) {
+        let taken = self.unsent.min(self.send_room);
+        self.unsent -= taken;
+        self.send_room -= taken;
+    }
+}
 
-    /// Binds the next pending connection to `handle`. `false` if nothing
-    /// was pending. The caller guarantees `handle` is free.
-    fn accept(&mut self, handle: usize) -> bool;
+/// One `netsim` call the NIC asks for. Handles are `< MAX_CONNS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PortCmd {
+    /// Open the listening socket on this TCP port.
+    Listen(u16),
+    /// Bind the oldest backlogged connection to this handle.
+    Accept(usize),
+    /// Close this handle's connection; its unsent bytes are dropped.
+    Close(usize),
+    /// Queue the next `len` bytes of [`NicPort::tx`] on `handle`, then
+    /// offer its unsent bytes to the send buffer.
+    Send { handle: usize, len: usize },
+    /// Offer `handle`'s unsent bytes to the send buffer again.
+    Flush(usize),
+    /// Receive the `len`-byte frame the NIC took from `handle`.
+    Recv { handle: usize, len: usize },
+}
 
-    /// Closes and frees `handle`. The caller guarantees it is open.
-    fn close(&mut self, handle: usize);
+/// Everything the NIC knows of the network, as plain data. The world's
+/// owner fills it at each barrier and drains its command log after each
+/// slice (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NicPort {
+    /// The connection bound to each handle.
+    pub conns: [Option<PortConn>; MAX_CONNS],
+    /// Connections waiting in the listen backlog, in accept order.
+    pub backlog: VecDeque<PortConn>,
+    /// Commands since the last drain, oldest first.
+    pub log: Vec<PortCmd>,
+    /// The bytes of the logged [`PortCmd::Send`]s, concatenated.
+    pub tx: Vec<u8>,
+}
 
-    /// Whether `handle` is bound to a connection.
-    fn open(&self, handle: usize) -> bool;
+impl NicPort {
+    fn open(&self, handle: usize) -> bool {
+        self.conns[handle].is_some()
+    }
 
-    /// Takes the next available payload frame on `handle`, if any (at
-    /// most [`FRAME_MAX`] bytes).
-    fn poll(&mut self, handle: usize) -> Option<Vec<u8>>;
+    fn established(&self, handle: usize) -> bool {
+        self.conns[handle].as_ref().is_some_and(|c| c.established)
+    }
 
-    /// Queues `frame` for transmission on `handle` (which the caller
-    /// guarantees is open).
-    fn send(&mut self, handle: usize, frame: &[u8]);
+    fn peer_closed(&self, handle: usize) -> bool {
+        self.conns[handle].as_ref().is_some_and(|c| c.peer_closed)
+    }
 
-    /// Whether `handle`'s TCP connection is established.
-    fn established(&self, handle: usize) -> bool;
+    fn accept_ready(&self) -> bool {
+        !self.backlog.is_empty()
+    }
 
-    /// Whether `handle`'s peer has closed its direction.
-    fn peer_closed(&self, handle: usize) -> bool;
+    /// Binds the oldest backlogged connection to the free `handle`;
+    /// `false` if nothing was pending.
+    fn accept(&mut self, handle: usize) -> bool {
+        let Some(conn) = self.backlog.pop_front() else {
+            return false;
+        };
+        self.conns[handle] = Some(conn);
+        self.log.push(PortCmd::Accept(handle));
+        true
+    }
+
+    /// Closes and frees the open `handle`.
+    fn close(&mut self, handle: usize) {
+        self.conns[handle] = None;
+        self.log.push(PortCmd::Close(handle));
+    }
+
+    /// Queues `frame` on the open `handle`.
+    fn send(&mut self, handle: usize, frame: &[u8]) {
+        let conn = self.conns[handle].as_mut().expect("sends go to open handles");
+        conn.unsent += frame.len();
+        conn.flush();
+        self.tx.extend_from_slice(frame);
+        self.log.push(PortCmd::Send { handle, len: frame.len() });
+    }
+
+    /// Retries `handle`'s unsent bytes, then takes its next frame (at
+    /// most [`FRAME_MAX`] bytes), if any.
+    fn poll(&mut self, handle: usize) -> Option<Vec<u8>> {
+        let conn = self.conns[handle].as_mut()?;
+        if conn.unsent > 0 {
+            conn.flush();
+            self.log.push(PortCmd::Flush(handle));
+        }
+        let len = conn.rx.len().min(FRAME_MAX);
+        if len == 0 {
+            return None;
+        }
+        self.log.push(PortCmd::Recv { handle, len });
+        Some(conn.rx.drain(..len).collect())
+    }
 
     /// Whether no poll could act — deliver a frame, retry a send, or
     /// latch an accept or close interrupt — until the guest issues a
     /// command or the world moves. The idle scheduler then lets halted
-    /// time run past poll boundaries in one batch. `false` — the
-    /// default — treats every poll as live; a wrong `false` costs speed,
-    /// never correctness.
+    /// time run past poll boundaries in one batch.
     fn quiet(&self) -> bool {
-        false
+        let any_free = self.conns.iter().any(Option::is_none);
+        let live = self.conns.iter().flatten().any(|c| {
+            c.unsent > 0 || !c.rx.is_empty()
+                // An un-closed handle whose peer has gone keeps the
+                // boundary live so the close interrupt is latched.
+                || c.peer_closed
+        }) || (any_free && self.accept_ready());
+        !live
     }
 }
 
@@ -226,7 +328,7 @@ impl NicCounters {
 
 /// The NIC device.
 pub struct Nic {
-    backend: Box<dyn NicBackend>,
+    port: NicPort,
     counters: NicCounters,
     /// Per-handle receive rings.
     rx: Vec<VecDeque<Vec<u8>>>,
@@ -245,16 +347,25 @@ pub struct Nic {
     to_poll: u64,
 }
 
-impl Nic {
-    /// A NIC wired to `backend`, with detached counters.
-    pub fn new(backend: Box<dyn NicBackend>) -> Nic {
-        Nic::with_counters(backend, NicCounters::detached())
-    }
+// A board's NIC holds port data, never a world handle, so it can cross
+// threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Nic>();
+};
 
-    /// A NIC wired to `backend`, reporting through `counters`.
-    pub fn with_counters(backend: Box<dyn NicBackend>, counters: NicCounters) -> Nic {
+impl Default for Nic {
+    /// A NIC with an empty port and detached counters.
+    fn default() -> Nic {
+        Nic::with_counters(NicCounters::detached())
+    }
+}
+
+impl Nic {
+    /// A NIC with an empty port, reporting through `counters`.
+    pub fn with_counters(counters: NicCounters) -> Nic {
         Nic {
-            backend,
+            port: NicPort::default(),
             counters,
             rx: (0..MAX_CONNS).map(|_| VecDeque::new()).collect(),
             tx_buf: Box::new([0; FRAME_MAX]),
@@ -269,23 +380,20 @@ impl Nic {
         }
     }
 
-    /// A NIC attached to a `netsim` host as fleet board `idx`: the
-    /// backend is a passive world participant (whoever owns the world
-    /// advances time) and the counters register under
-    /// `board<idx>.net.board.*` so boards sharing one registry never
-    /// collide.
-    pub fn fleet_attached(host: SimHost, idx: usize) -> Nic {
-        let counters = {
-            let world = host.world();
-            let world = world.borrow();
-            NicCounters::register_board(world.telemetry(), idx)
-        };
-        Nic::with_counters(Box::new(SimBackend::new(host)), counters)
-    }
-
     /// The counters this NIC reports through.
     pub fn counters(&self) -> &NicCounters {
         &self.counters
+    }
+
+    /// The port: what the NIC knows of the network and the commands it
+    /// has logged since the last drain.
+    pub fn port(&self) -> &NicPort {
+        &self.port
+    }
+
+    /// The port, mutably, for the barrier's fill and drain.
+    pub fn port_mut(&mut self) -> &mut NicPort {
+        &mut self.port
     }
 
     /// Frames waiting in the receive rings, all handles together.
@@ -303,11 +411,10 @@ impl Nic {
     /// accesses.
     fn update_irq(&mut self) {
         let any_rx = self.rx.iter().any(|r| !r.is_empty());
-        let any_free = (0..MAX_CONNS).any(|h| !self.backend.open(h));
-        let acceptable = any_free && self.backend.accept_ready();
-        let closable = (0..MAX_CONNS).any(|h| {
-            self.rx[h].is_empty() && self.backend.open(h) && self.backend.peer_closed(h)
-        });
+        let any_free = (0..MAX_CONNS).any(|h| !self.port.open(h));
+        let acceptable = any_free && self.port.accept_ready();
+        let closable = (0..MAX_CONNS)
+            .any(|h| self.rx[h].is_empty() && self.port.open(h) && self.port.peer_closed(h));
         let level = self.irq_enabled && (any_rx || acceptable || closable);
         if level && !self.irq_pending {
             self.counters.irqs.inc();
@@ -315,12 +422,12 @@ impl Nic {
         self.irq_pending = level;
     }
 
-    /// Pulls received frames from the backend into the rings (called only
+    /// Takes received frames from the port into the rings (called only
     /// at poll boundaries).
-    fn poll_backend(&mut self) {
+    fn poll_port(&mut self) {
         for h in 0..MAX_CONNS {
             while self.rx[h].len() < RX_RING {
-                match self.backend.poll(h) {
+                match self.port.poll(h) {
                     Some(frame) => {
                         self.counters.rx_frames.inc();
                         self.counters.rx_bytes.add(frame.len() as u64);
@@ -339,39 +446,42 @@ impl Nic {
         let h = self.conn_sel;
         match value {
             CMD_LISTEN => {
+                // The board's host holds no other listener, so the one
+                // `LISTEN` the NIC lets through always opens.
                 if self.listening {
                     return false;
                 }
-                self.listening = self.backend.listen(self.listen_port);
-                self.listening
+                self.port.log.push(PortCmd::Listen(self.listen_port));
+                self.listening = true;
+                true
             }
             CMD_TX_GO => {
                 let len = usize::from(self.tx_len);
-                if !self.backend.open(h) || len > FRAME_MAX {
+                if !self.port.open(h) || len > FRAME_MAX {
                     return false;
                 }
                 self.counters.tx_frames.inc();
                 self.counters.tx_bytes.add(len as u64);
                 self.counters.conn[h].tx_bytes.add(len as u64);
-                self.backend.send(h, &self.tx_buf[..len]);
+                self.port.send(h, &self.tx_buf[..len]);
                 true
             }
             CMD_RX_NEXT => self.rx[h].pop_front().is_some(),
             CMD_ACCEPT => {
-                if self.backend.open(h) {
+                if self.port.open(h) {
                     return false;
                 }
-                let ok = self.backend.accept(h);
+                let ok = self.port.accept(h);
                 if ok {
                     self.counters.conn[h].accepts.inc();
                 }
                 ok
             }
             CMD_CLOSE => {
-                if !self.backend.open(h) {
+                if !self.port.open(h) {
                     return false;
                 }
-                self.backend.close(h);
+                self.port.close(h);
                 self.rx[h].clear();
                 true
             }
@@ -401,19 +511,19 @@ impl Device for Nic {
                 if !self.rx[h].is_empty() {
                     st |= STATUS_RX_AVAIL;
                 }
-                if self.backend.open(h) {
+                if self.port.open(h) {
                     st |= STATUS_TX_READY;
                 }
-                if self.backend.peer_closed(h) {
+                if self.port.peer_closed(h) {
                     st |= STATUS_PEER_CLOSED;
                 }
-                if self.backend.established(h) {
+                if self.port.established(h) {
                     st |= STATUS_ESTABLISHED;
                 }
                 if self.err {
                     st |= STATUS_ERR;
                 }
-                if self.backend.accept_ready() {
+                if self.port.accept_ready() {
                     st |= STATUS_ACCEPT_READY;
                 }
                 st
@@ -474,7 +584,7 @@ impl Device for Nic {
         while cycles >= self.to_poll {
             cycles -= self.to_poll;
             self.to_poll = POLL_CYCLES;
-            self.poll_backend();
+            self.poll_port();
         }
         self.to_poll -= cycles;
     }
@@ -486,13 +596,13 @@ impl Device for Nic {
     }
 
     fn next_deadline(&self) -> Option<u64> {
-        // The NIC only acts (polls the backend, possibly raising the rx
-        // interrupt) at fixed poll boundaries. A quiet backend gives
-        // those polls nothing to act on until the guest issues a command
-        // — which ends any halted batch — or the world moves, which
+        // The NIC only acts (polls the port, possibly raising the rx
+        // interrupt) at fixed poll boundaries. A quiet port gives those
+        // polls nothing to act on until the guest issues a command —
+        // which ends any halted batch — or the world moves, which
         // happens only at an epoch barrier, where the fleet scheduler
         // bounds its skip by the world's next event.
-        (!self.backend.quiet()).then_some(self.to_poll)
+        (!self.port.quiet()).then_some(self.to_poll)
     }
 
     fn pending(&self) -> Option<Interrupt> {
@@ -526,229 +636,71 @@ impl std::fmt::Debug for Nic {
     }
 }
 
-/// One bound connection in the [`SimBackend`] handle table.
-struct SimConn {
-    sock: SocketId,
-    /// Bytes the socket send buffer rejected, retried on every poll.
-    pending_tx: Vec<u8>,
-}
-
-/// The production backend: a TCP-offload attachment to a `netsim` host
-/// (see [`SimHost`]). One listener, a handle table of up to
-/// [`MAX_CONNS`] concurrent connections; bytes a send buffer rejects are
-/// retried on the next poll. The backend never moves world time; the
-/// world's owner (the `rmc2000::fleet` scheduler) moves it at epoch
-/// boundaries.
-struct SimBackend {
-    host: SimHost,
-    listener: Option<SocketId>,
-    conns: Vec<Option<SimConn>>,
-}
-
-/// Listen backlog: connections beyond the handle table wait here until
-/// the guest frees a handle (the paper's 4th and 5th clients).
-const LISTEN_BACKLOG: usize = 8;
-
-impl SimBackend {
-    /// Wraps a host handle as a passive world participant.
-    fn new(host: SimHost) -> SimBackend {
-        SimBackend {
-            host,
-            listener: None,
-            conns: (0..MAX_CONNS).map(|_| None).collect(),
-        }
-    }
-
-    fn flush_tx(&mut self, handle: usize) {
-        if let Some(conn) = self.conns[handle].as_mut() {
-            if !conn.pending_tx.is_empty() {
-                let sent = self.host.send(conn.sock, &conn.pending_tx);
-                conn.pending_tx.drain(..sent);
-            }
-        }
-    }
-}
-
-impl NicBackend for SimBackend {
-    fn listen(&mut self, port: u16) -> bool {
-        if self.listener.is_none() {
-            self.listener = self.host.listen(port, LISTEN_BACKLOG).ok();
-        }
-        self.listener.is_some()
-    }
-
-    fn accept_ready(&self) -> bool {
-        self.listener.is_some_and(|l| self.host.pending(l) > 0)
-    }
-
-    fn accept(&mut self, handle: usize) -> bool {
-        let Some(l) = self.listener else { return false };
-        match self.host.accept(l) {
-            Some(sock) => {
-                self.conns[handle] = Some(SimConn {
-                    sock,
-                    pending_tx: Vec::new(),
-                });
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn close(&mut self, handle: usize) {
-        if let Some(conn) = self.conns[handle].take() {
-            // A graceful close still delivers what fit in the send
-            // buffer; bytes beyond it are dropped with the handle.
-            self.host.close(conn.sock);
-        }
-    }
-
-    fn open(&self, handle: usize) -> bool {
-        self.conns[handle].is_some()
-    }
-
-    fn poll(&mut self, handle: usize) -> Option<Vec<u8>> {
-        self.flush_tx(handle);
-        let sock = self.conns[handle].as_ref()?.sock;
-        let avail = self.host.available(sock).min(FRAME_MAX);
-        if avail == 0 {
-            return None;
-        }
-        let mut frame = vec![0u8; avail];
-        match self.host.recv(sock, &mut frame) {
-            netsim::Recv::Data(n) => {
-                frame.truncate(n);
-                Some(frame)
-            }
-            _ => None,
-        }
-    }
-
-    fn send(&mut self, handle: usize, frame: &[u8]) {
-        if let Some(conn) = self.conns[handle].as_mut() {
-            conn.pending_tx.extend_from_slice(frame);
-        }
-        self.flush_tx(handle);
-    }
-
-    fn established(&self, handle: usize) -> bool {
-        self.conns[handle]
-            .as_ref()
-            .is_some_and(|c| self.host.established(c.sock))
-    }
-
-    fn peer_closed(&self, handle: usize) -> bool {
-        self.conns[handle]
-            .as_ref()
-            .is_some_and(|c| self.host.peer_closed(c.sock))
-    }
-
-    fn quiet(&self) -> bool {
-        // Nothing a poll (or the boundary's irq recomputation) would act
-        // on now; socket state changes only when the world moves.
-        let any_free = self.conns.iter().any(Option::is_none);
-        let live = self.conns.iter().flatten().any(|c| {
-            !c.pending_tx.is_empty()
-                || self.host.available(c.sock) > 0
-                // An un-closed handle whose peer has gone keeps the
-                // boundary live so the close interrupt is latched.
-                || self.host.peer_closed(c.sock)
-        }) || (any_free && self.accept_ready());
-        !live
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A scripted backend for unit tests: frames ready to deliver per
-    /// handle (tests push them between ticks), capture of frames sent, a
-    /// counter of connections waiting to be accepted.
-    #[derive(Default)]
-    struct Script {
-        /// (handle, frame)
-        rx: VecDeque<(usize, Vec<u8>)>,
-        tx: Vec<(usize, Vec<u8>)>,
-        /// `poll` calls made by the NIC.
-        polls: usize,
-        quiet: bool,
-        listening: Option<u16>,
-        open: [bool; MAX_CONNS],
-        peer_closed: [bool; MAX_CONNS],
-        pending_accepts: usize,
-    }
-
-    type Shared = std::rc::Rc<std::cell::RefCell<Script>>;
-
-    impl NicBackend for Shared {
-        fn listen(&mut self, port: u16) -> bool {
-            self.borrow_mut().listening = Some(port);
-            true
+    /// An established connection with room to send, as a fill carries it.
+    fn conn() -> PortConn {
+        PortConn {
+            established: true,
+            send_room: 64 * 1024,
+            ..PortConn::default()
         }
-        fn accept_ready(&self) -> bool {
-            self.borrow().pending_accepts > 0
-        }
-        fn accept(&mut self, handle: usize) -> bool {
-            let mut s = self.borrow_mut();
-            if s.pending_accepts == 0 {
-                return false;
-            }
-            s.pending_accepts -= 1;
-            s.open[handle] = true;
-            true
-        }
-        fn close(&mut self, handle: usize) {
-            let mut s = self.borrow_mut();
-            s.open[handle] = false;
-            s.peer_closed[handle] = false;
-        }
-        fn open(&self, handle: usize) -> bool {
-            self.borrow().open[handle]
-        }
-        fn poll(&mut self, handle: usize) -> Option<Vec<u8>> {
-            let mut s = self.borrow_mut();
-            s.polls += 1;
-            let next = s.rx.iter().position(|(h, _)| *h == handle)?;
-            s.rx.remove(next).map(|(_, f)| f)
-        }
-        fn send(&mut self, handle: usize, frame: &[u8]) {
-            self.borrow_mut().tx.push((handle, frame.to_vec()));
-        }
-        fn established(&self, handle: usize) -> bool {
-            self.borrow().open[handle]
-        }
-        fn peer_closed(&self, handle: usize) -> bool {
-            self.borrow().peer_closed[handle]
-        }
-        fn quiet(&self) -> bool {
-            self.borrow().quiet
-        }
-    }
-
-    fn scripted() -> (Nic, Shared) {
-        let script = Shared::default();
-        (Nic::new(Box::new(script.clone())), script)
     }
 
     /// An open connection on handle 0, as most single-connection tests
     /// start from.
-    fn scripted_open() -> (Nic, Shared) {
-        let (mut nic, script) = scripted();
-        script.borrow_mut().pending_accepts = 1;
+    fn nic_open() -> Nic {
+        let mut nic = Nic::default();
+        nic.port_mut().backlog.push_back(conn());
         nic.write(NIC_CMD, CMD_ACCEPT, true);
         assert_eq!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
-        (nic, script)
+        nic
+    }
+
+    /// The open `handle`'s connection in the port.
+    fn bound(nic: &mut Nic, handle: usize) -> &mut PortConn {
+        nic.port_mut().conns[handle].as_mut().expect("open")
+    }
+
+    /// Takes the port's log as a drain would, pairing each command with
+    /// its send bytes.
+    fn take_log(port: &mut NicPort) -> Vec<(PortCmd, Vec<u8>)> {
+        let tx = std::mem::take(&mut port.tx);
+        let mut rest = &tx[..];
+        let log = port.log.drain(..).map(|cmd| {
+            let len = match cmd {
+                PortCmd::Send { len, .. } => len,
+                _ => 0,
+            };
+            let (bytes, tail) = rest.split_at(len);
+            rest = tail;
+            (cmd, bytes.to_vec())
+        });
+        let log = log.collect();
+        assert!(rest.is_empty(), "every logged byte belongs to a send");
+        log
+    }
+
+    /// The frames sent since the last drain, per handle.
+    fn sent(nic: &mut Nic) -> Vec<(usize, Vec<u8>)> {
+        let log = take_log(nic.port_mut()).into_iter();
+        log.filter_map(|(cmd, bytes)| match cmd {
+            PortCmd::Send { handle, .. } => Some((handle, bytes)),
+            _ => None,
+        })
+        .collect()
     }
 
     #[test]
     fn frames_arrive_only_at_poll_boundaries() {
-        let (mut nic, script) = scripted_open();
+        let mut nic = nic_open();
         nic.write(NIC_IER, 1, true);
         nic.tick(10 * CYCLES_PER_US);
-        // The frame is ready in the backend from 10 µs on, but 40 µs in
-        // the boundary (50 µs) has not been crossed.
-        script.borrow_mut().rx.push_back((0, b"abc".to_vec()));
+        // The bytes are in the port from 10 µs on, but 40 µs in the
+        // boundary (50 µs) has not been crossed.
+        bound(&mut nic, 0).rx.extend(b"abc");
         nic.tick(30 * CYCLES_PER_US);
         assert_eq!(nic.rx_pending(), 0);
         assert!(rabbit::Device::pending(&nic).is_none());
@@ -768,8 +720,8 @@ mod tests {
 
     #[test]
     fn chunked_ticks_cross_boundaries_identically() {
-        let (mut a, sa) = scripted_open();
-        let (mut b, sb) = scripted_open();
+        let mut a = nic_open();
+        let mut b = nic_open();
         a.write(NIC_IER, 1, true);
         b.write(NIC_IER, 1, true);
         // One big tick vs many tiny ticks, with "x" ready before the
@@ -783,39 +735,42 @@ mod tests {
                 nic.tick(us * CYCLES_PER_US);
             }
         };
-        for (nic, s, chunked) in [(&mut a, &sa, false), (&mut b, &sb, true)] {
-            s.borrow_mut().rx.push_back((0, b"x".to_vec()));
+        for (nic, chunked) in [(&mut a, false), (&mut b, true)] {
+            bound(nic, 0).rx.extend(b"x");
             tick(nic, 51, chunked);
             assert_eq!(nic.rx_pending(), 1, "x at the 50 µs boundary");
-            s.borrow_mut().rx.push_back((0, b"y".to_vec()));
+            bound(nic, 0).rx.extend(b"y");
             tick(nic, 69, chunked);
         }
         assert_eq!(a.rx_pending(), b.rx_pending());
         assert_eq!(a.rx_pending(), 2);
-        // Two boundaries, each polling every handle until it runs dry:
-        // handle 0 twice (its frame, then nothing), the others once.
-        assert_eq!(sa.borrow().polls, sb.borrow().polls);
-        assert_eq!(sa.borrow().polls, 2 * (MAX_CONNS + 1));
+        // Two boundaries, each taking handle 0's one-byte frame.
+        let recv = PortCmd::Recv { handle: 0, len: 1 };
+        assert_eq!(a.port().log, b.port().log);
+        assert_eq!(a.port().log, [PortCmd::Accept(0), recv, recv]);
     }
 
     #[test]
-    fn deadline_is_the_next_boundary_unless_the_backend_is_quiet() {
-        let (mut nic, script) = scripted();
+    fn deadline_is_the_next_boundary_unless_the_port_is_quiet() {
+        let mut nic = nic_open();
+        // A peer close the guest has not reaped keeps every poll live.
+        bound(&mut nic, 0).peer_closed = true;
         let into = 7 * CYCLES_PER_US + 11;
         nic.tick(into);
         assert_eq!(nic.next_deadline(), Some(POLL_CYCLES - into));
         // Crossing a boundary restarts the count on the grid.
         nic.tick(POLL_CYCLES);
         assert_eq!(nic.next_deadline(), Some(POLL_CYCLES - into));
-        script.borrow_mut().quiet = true;
+        bound(&mut nic, 0).peer_closed = false;
         assert_eq!(nic.next_deadline(), None);
     }
 
     #[test]
     fn rx_frame_reads_and_rx_next() {
-        let (mut nic, script) = scripted_open();
-        script.borrow_mut().rx.push_back((0, b"hi".to_vec()));
-        script.borrow_mut().rx.push_back((0, b"z".to_vec()));
+        let mut nic = nic_open();
+        bound(&mut nic, 0).rx.extend(b"hi");
+        nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
+        bound(&mut nic, 0).rx.extend(b"z");
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         assert_eq!(nic.read(NIC_RXLEN_LO, true), 2);
         assert_eq!(nic.read(NIC_RXLEN_HI, true), 0);
@@ -829,22 +784,53 @@ mod tests {
     }
 
     #[test]
+    fn a_poll_cuts_readable_bytes_into_full_frames() {
+        let mut nic = nic_open();
+        bound(&mut nic, 0).rx.extend([7u8; FRAME_MAX + 7]);
+        nic.tick(POLL_CYCLES);
+        assert_eq!(nic.read(NIC_RXLEN_HI, true), 4, "1,024 bytes first");
+        nic.write(NIC_CMD, CMD_RX_NEXT, true);
+        assert_eq!(nic.read(NIC_RXLEN_LO, true), 7, "then the tail");
+        let (handle, len) = (0, FRAME_MAX);
+        let log = &nic.port().log[1..];
+        assert_eq!(log, [PortCmd::Recv { handle, len }, PortCmd::Recv { handle, len: 7 }]);
+    }
+
+    #[test]
     fn tx_stages_and_sends() {
-        let (mut nic, script) = scripted_open();
+        let mut nic = nic_open();
         for (i, b) in b"ping".iter().enumerate() {
             nic.write(NIC_TX_WINDOW + i as u16, *b, true);
         }
         nic.write(NIC_TXLEN_LO, 4, true);
         nic.write(NIC_TXLEN_HI, 0, true);
         nic.write(NIC_CMD, CMD_TX_GO, true);
-        assert_eq!(script.borrow().tx, vec![(0, b"ping".to_vec())]);
+        assert_eq!(sent(&mut nic), vec![(0, b"ping".to_vec())]);
         assert_eq!(nic.counters().tx_bytes.get(), 4);
         assert_eq!(nic.counters().conn[0].tx_bytes.get(), 4);
     }
 
     #[test]
+    fn unsent_bytes_are_retried_at_every_poll_until_taken() {
+        let mut nic = nic_open();
+        bound(&mut nic, 0).send_room = 3;
+        nic.write(NIC_TXLEN_LO, 4, true);
+        nic.write(NIC_CMD, CMD_TX_GO, true);
+        assert_eq!((bound(&mut nic, 0).unsent, bound(&mut nic, 0).send_room), (1, 0));
+        assert_eq!(nic.next_deadline(), Some(POLL_CYCLES), "unsent bytes are live");
+        nic.tick(POLL_CYCLES);
+        // The next fill finds room again: one more retry takes the byte.
+        bound(&mut nic, 0).send_room = 10;
+        nic.tick(POLL_CYCLES);
+        assert_eq!((bound(&mut nic, 0).unsent, bound(&mut nic, 0).send_room), (0, 9));
+        assert_eq!(nic.next_deadline(), None);
+        let flushes = nic.port().log.iter().filter(|&&c| c == PortCmd::Flush(0));
+        assert_eq!(flushes.count(), 2);
+    }
+
+    #[test]
     fn oversized_tx_go_is_refused_not_clamped() {
-        let (mut nic, script) = scripted_open();
+        let mut nic = nic_open();
         let set_len = |nic: &mut Nic, len: usize| {
             nic.write(NIC_TXLEN_LO, len as u8, true);
             nic.write(NIC_TXLEN_HI, (len >> 8) as u8, true);
@@ -853,7 +839,7 @@ mod tests {
         set_len(&mut nic, FRAME_MAX + 1);
         nic.write(NIC_CMD, CMD_TX_GO, true);
         assert_ne!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
-        assert!(script.borrow().tx.is_empty(), "no truncated frame sent");
+        assert!(sent(&mut nic).is_empty(), "no truncated frame sent");
         assert_eq!(nic.counters().tx_frames.get(), 0);
         assert_eq!(nic.counters().tx_bytes.get(), 0);
         assert_eq!(nic.counters().cmd_errors.get(), 1);
@@ -861,41 +847,41 @@ mod tests {
         set_len(&mut nic, FRAME_MAX);
         nic.write(NIC_CMD, CMD_TX_GO, true);
         assert_eq!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
-        assert_eq!(script.borrow().tx.len(), 1);
-        assert_eq!(script.borrow().tx[0].1.len(), FRAME_MAX);
+        let sent = sent(&mut nic);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].1.len(), FRAME_MAX);
         assert_eq!(nic.counters().cmd_errors.get(), 1);
     }
 
     #[test]
     fn listen_uses_configured_port() {
-        let (mut nic, script) = scripted();
+        let mut nic = Nic::default();
         nic.write(NIC_LPORT_LO, 0x39, true);
         nic.write(NIC_LPORT_HI, 0x05, true); // 1337
         nic.write(NIC_CMD, CMD_LISTEN, true);
-        assert_eq!(script.borrow().listening, Some(1337));
+        assert_eq!(nic.port().log, [PortCmd::Listen(1337)]);
         assert_eq!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
     }
 
     #[test]
     fn ring_full_applies_backpressure_per_handle() {
-        let (mut nic, script) = scripted_open();
-        for _ in 0..RX_RING + 3 {
-            script.borrow_mut().rx.push_back((0, vec![0u8; 4]));
-        }
+        let mut nic = nic_open();
+        bound(&mut nic, 0).rx.extend([0u8; (RX_RING + 3) * FRAME_MAX]);
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         assert_eq!(nic.rx_pending_on(0), RX_RING);
-        assert_eq!(script.borrow().rx.len(), 3, "rest held in the backend");
+        let held = bound(&mut nic, 0).rx.len();
+        assert_eq!(held, 3 * FRAME_MAX, "rest held in the port");
     }
 
     #[test]
     fn conn_register_selects_handle_views() {
-        let (mut nic, script) = scripted();
-        script.borrow_mut().pending_accepts = 2;
+        let mut nic = Nic::default();
+        nic.port_mut().backlog.extend([conn(), conn()]);
         nic.write(NIC_CMD, CMD_ACCEPT, true); // handle 0
         nic.write(NIC_CONN, 1, true);
         nic.write(NIC_CMD, CMD_ACCEPT, true); // handle 1
-        script.borrow_mut().rx.push_back((0, b"for-zero".to_vec()));
-        script.borrow_mut().rx.push_back((1, b"one".to_vec()));
+        bound(&mut nic, 0).rx.extend(b"for-zero");
+        bound(&mut nic, 1).rx.extend(b"one");
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         // Selected handle is 1: its frame, its length.
         assert_eq!(nic.read(NIC_CONN, true), 1);
@@ -910,14 +896,14 @@ mod tests {
         nic.write(NIC_TX_WINDOW, b'!', true);
         nic.write(NIC_TXLEN_LO, 1, true);
         nic.write(NIC_CMD, CMD_TX_GO, true);
-        assert_eq!(script.borrow().tx, vec![(1, b"!".to_vec())]);
+        assert_eq!(sent(&mut nic), vec![(1, b"!".to_vec())]);
         assert_eq!(nic.counters().conn[1].tx_bytes.get(), 1);
         assert_eq!(nic.counters().conn[0].tx_bytes.get(), 0);
     }
 
     #[test]
     fn out_of_range_conn_select_sets_error() {
-        let (mut nic, _script) = scripted();
+        let mut nic = Nic::default();
         nic.write(NIC_CONN, 1, true);
         nic.write(NIC_CONN, MAX_CONNS as u8, true);
         assert_ne!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
@@ -926,12 +912,11 @@ mod tests {
 
     #[test]
     fn commands_on_unopened_handles_error_without_side_effects() {
-        let (mut nic, script) = scripted();
+        let mut nic = Nic::default();
         // TX_GO with no connection: error, nothing sent, nothing counted.
         nic.write(NIC_TXLEN_LO, 4, true);
         nic.write(NIC_CMD, CMD_TX_GO, true);
         assert_ne!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
-        assert!(script.borrow().tx.is_empty());
         assert_eq!(nic.counters().tx_frames.get(), 0);
         // RX_NEXT with an empty queue: error.
         nic.write(NIC_CMD, CMD_RX_NEXT, true);
@@ -943,33 +928,31 @@ mod tests {
         nic.write(NIC_CMD, CMD_ACCEPT, true);
         assert_ne!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
         assert_eq!(nic.counters().cmd_errors.get(), 4);
+        assert!(nic.port().log.is_empty(), "nothing sent, nothing logged");
         // A successful command clears the error bit.
         nic.write(NIC_CMD, CMD_LISTEN, true);
         assert_eq!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
         // And a second LISTEN sets it again.
         nic.write(NIC_CMD, CMD_LISTEN, true);
         assert_ne!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
+        assert_eq!(nic.port().log.len(), 1, "one listen");
     }
 
     #[test]
     fn accept_onto_occupied_handle_errors() {
-        let (mut nic, script) = scripted_open();
-        script.borrow_mut().pending_accepts = 1;
+        let mut nic = nic_open();
+        nic.port_mut().backlog.push_back(conn());
         nic.write(NIC_CMD, CMD_ACCEPT, true);
         assert_ne!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
-        assert_eq!(
-            script.borrow().pending_accepts,
-            1,
-            "pending connection untouched"
-        );
+        assert_eq!(nic.port().backlog.len(), 1, "pending connection untouched");
         assert_eq!(nic.counters().conn[0].accepts.get(), 1, "only the first");
     }
 
     #[test]
     fn accept_ready_raises_irq_only_with_a_free_handle() {
-        let (mut nic, script) = scripted();
+        let mut nic = Nic::default();
         nic.write(NIC_IER, 1, true);
-        script.borrow_mut().pending_accepts = 1;
+        nic.port_mut().backlog.push_back(conn());
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         assert!(
             rabbit::Device::pending(&nic).is_some(),
@@ -977,7 +960,7 @@ mod tests {
         );
         // Occupy every handle: the pending connection can no longer be
         // bound, so the line drops (no interrupt storm while saturated).
-        script.borrow_mut().pending_accepts = MAX_CONNS + 1;
+        nic.port_mut().backlog.resize(MAX_CONNS + 1, conn());
         for h in 0..MAX_CONNS {
             nic.write(NIC_CONN, h as u8, true);
             nic.write(NIC_CMD, CMD_ACCEPT, true);
@@ -993,25 +976,156 @@ mod tests {
 
     #[test]
     fn peer_close_with_drained_ring_raises_irq_until_closed() {
-        let (mut nic, script) = scripted_open();
+        let mut nic = nic_open();
         nic.write(NIC_IER, 1, true);
-        script.borrow_mut().peer_closed[0] = true;
+        bound(&mut nic, 0).peer_closed = true;
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         assert!(rabbit::Device::pending(&nic).is_some(), "closable raises");
         nic.write(NIC_CMD, CMD_CLOSE, true);
         assert_eq!(nic.read(NIC_STATUS, true) & STATUS_ERR, 0);
         assert!(rabbit::Device::pending(&nic).is_none(), "close clears");
-        assert!(!script.borrow().open[0]);
+        assert!(nic.port().conns[0].is_none());
+        assert_eq!(nic.port().log.last(), Some(&PortCmd::Close(0)));
     }
 
     #[test]
     fn close_drops_queued_frames() {
-        let (mut nic, script) = scripted_open();
-        script.borrow_mut().rx.push_back((0, b"stale".to_vec()));
+        let mut nic = nic_open();
+        bound(&mut nic, 0).rx.extend(b"stale");
         nic.tick(POLL_PERIOD_US * CYCLES_PER_US);
         assert_eq!(nic.rx_pending_on(0), 1);
         nic.write(NIC_CMD, CMD_CLOSE, true);
         assert_eq!(nic.rx_pending_on(0), 0);
         assert_eq!(nic.read(NIC_STATUS, true) & STATUS_RX_AVAIL, 0);
+    }
+
+    mod hostile {
+        //! Random register traffic over the whole NIC range, interleaved
+        //! with ticks, port events and drains: no panic, a well-formed
+        //! command log, and the same answers on every replay.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Read(u16),
+            Write(u16, u8),
+            Tick(u64),
+            /// A connection joins the backlog with readable bytes and room.
+            Arrive(u16, u16),
+            /// Bytes become readable on a handle, if it is open.
+            Readable(usize, u16),
+            /// A handle's peer closes, if it is open.
+            PeerClose(usize),
+            /// The barrier drains the port; open handles gain send room.
+            Drain(u16),
+        }
+
+        /// The register file and both windows with their edges, or anywhere.
+        fn port() -> impl Strategy<Value = u16> {
+            let win = FRAME_MAX as u16;
+            prop_oneof![
+                (NIC_BASE - 2)..(NIC_CONN + 3),
+                (NIC_RX_WINDOW - 1)..(NIC_RX_WINDOW + win + 1),
+                (NIC_TX_WINDOW - 1)..(NIC_TX_WINDOW + win + 1),
+                any::<u16>(),
+            ]
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let reg = [NIC_CMD, NIC_CONN, NIC_TXLEN_HI];
+            prop_oneof![
+                port().prop_map(Op::Read),
+                (port(), any::<u8>()).prop_map(|(p, v)| Op::Write(p, v)),
+                // Any byte into CMD, CONN and TXLEN; and, more often,
+                // every command, handle and length around FRAME_MAX.
+                (0..reg.len(), any::<u8>()).prop_map(move |(r, v)| Op::Write(reg[r], v)),
+                (0u8..6).prop_map(|v| Op::Write(NIC_CMD, v)),
+                (0u8..6).prop_map(|v| Op::Write(NIC_CMD, v)),
+                (0u8..4).prop_map(|v| Op::Write(NIC_CONN, v)),
+                (0u8..5).prop_map(|v| Op::Write(NIC_TXLEN_HI, v)),
+                (0u64..4 * POLL_CYCLES).prop_map(Op::Tick),
+                (0u16..3_000, 0u16..2_048).prop_map(|(n, room)| Op::Arrive(n, room)),
+                (0..MAX_CONNS, 0u16..12_000).prop_map(|(h, n)| Op::Readable(h, n)),
+                (0..MAX_CONNS).prop_map(Op::PeerClose),
+                (0u16..2_048).prop_map(Op::Drain),
+            ]
+        }
+
+        /// Every read and irq level, every drained command with its
+        /// bytes, and the final counters.
+        type Trace = (Vec<u8>, Vec<(PortCmd, Vec<u8>)>, Vec<u64>);
+
+        fn run(ops: &[Op]) -> Trace {
+            let mut nic = Nic::default();
+            let (mut reads, mut drained) = (Vec::new(), Vec::new());
+            for op in ops.iter().chain([&Op::Drain(0)]) {
+                match *op {
+                    Op::Read(p) => reads.push(nic.read(p, true)),
+                    Op::Write(p, v) => nic.write(p, v, true),
+                    Op::Tick(c) => nic.tick(c),
+                    Op::Arrive(n, room) => nic.port_mut().backlog.push_back(PortConn {
+                        rx: (0..n).map(|i| i as u8).collect(),
+                        send_room: usize::from(room),
+                        ..conn()
+                    }),
+                    Op::Readable(h, n) => {
+                        if let Some(c) = nic.port_mut().conns[h].as_mut() {
+                            c.rx.extend((0..n).map(|i| (i as u8).wrapping_mul(7)));
+                        }
+                    }
+                    Op::PeerClose(h) => {
+                        if let Some(c) = nic.port_mut().conns[h].as_mut() {
+                            c.peer_closed = true;
+                        }
+                    }
+                    Op::Drain(room) => {
+                        for (h, ring) in nic.rx.iter().enumerate() {
+                            prop_assert!(ring.len() <= RX_RING, "ring {h}: {}", ring.len());
+                        }
+                        for (cmd, bytes) in take_log(nic.port_mut()) {
+                            let h = match cmd {
+                                PortCmd::Listen(_) => 0,
+                                PortCmd::Accept(h) | PortCmd::Close(h) | PortCmd::Flush(h) => h,
+                                PortCmd::Send { handle, len } => {
+                                    prop_assert!(len <= FRAME_MAX && len == bytes.len());
+                                    handle
+                                }
+                                PortCmd::Recv { handle, len } => {
+                                    prop_assert!((1..=FRAME_MAX).contains(&len));
+                                    handle
+                                }
+                            };
+                            prop_assert!(h < MAX_CONNS, "{cmd:?}");
+                            drained.push((cmd, bytes));
+                        }
+                        for c in nic.port_mut().conns.iter_mut().flatten() {
+                            c.send_room += usize::from(room);
+                        }
+                    }
+                }
+                reads.push(u8::from(rabbit::Device::pending(&nic).is_some()));
+            }
+            let c = nic.counters();
+            let conns = c.conn.iter().flat_map(|h| [&h.accepts, &h.rx_bytes, &h.tx_bytes]);
+            let counters = [&c.rx_frames, &c.rx_bytes, &c.tx_frames, &c.tx_bytes, &c.irqs]
+                .into_iter()
+                .chain([&c.cmd_errors])
+                .chain(conns)
+                .map(Counter::get)
+                .collect();
+            (reads, drained, counters)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn register_file_answers_hostile_input_deterministically(
+                ops in proptest::collection::vec(op(), 1..200)
+            ) {
+                prop_assert_eq!(run(&ops), run(&ops));
+            }
+        }
     }
 }

@@ -9,10 +9,12 @@
 //! bytes the client sent, so the assembly NIC shims are checked as an
 //! echo server, not only against each other.
 //!
-//! The NIC is a passive world participant, so the test owns the world
-//! clock the way the fleet scheduler does: every `Run`/`Idle` budget is
-//! cut at epoch boundaries, and the world reaches each epoch's end
-//! before the board executes into it.
+//! The NIC meets the world only through its port, so the test owns the
+//! world clock and the port exchange the way the fleet scheduler does:
+//! every `Run`/`Idle` budget is cut at epoch boundaries, the board's
+//! logged commands reach the world and the world reaches each epoch's
+//! end before the board executes into it, and the port is filled with
+//! what the world then holds.
 //!
 //! The firmware exercises all three deadline sources at once: the NIC
 //! (poll-boundary echo ISR), the serial port (rx ISR echoing through the
@@ -26,7 +28,8 @@ use netsim::{Endpoint, Ipv4, LinkParams, Recv, SimHost, SocketId, World};
 use proptest::prelude::*;
 use rabbit::{assemble, Engine};
 use rmc2000::firmware::{nic_equates, nic_isr_body, nic_shims};
-use rmc2000::nic::Nic;
+use rmc2000::fleet::SocketTable;
+use rmc2000::nic::{Nic, NicCounters};
 use rmc2000::{Board, RunOutcome, EPOCH_CYCLES, EPOCH_US, NIC_VECTOR, SERIAL_A_VECTOR};
 
 const PORT: u16 = 7;
@@ -126,6 +129,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 struct Session {
     world: Rc<RefCell<World>>,
     board: Board,
+    sockets: SocketTable,
     client: SimHost,
     conn: SocketId,
     /// Every byte the client's sends were accepted for, in order.
@@ -134,28 +138,33 @@ struct Session {
     outcomes: Vec<String>,
 }
 
-/// World first: brings the world to the end of the epoch `board` is
-/// in, then returns the board's cycle count at that boundary, capped at
-/// `end`. Device time the bus deferred (a halted step's last tick waits
-/// for the next interrupt poll) is delivered before the world moves, so
-/// a poll boundary the board already crossed observes the world as it
-/// was when the board crossed it, whichever idle path got it there.
-fn epoch_slice_end(world: &RefCell<World>, board: &mut Board, end: u64) -> u64 {
+/// World first: drains the board's port, brings the world to the end of
+/// the epoch `board` is in, fills the port, then returns the board's
+/// cycle count at that boundary, capped at `end`. Device time the bus
+/// deferred (a halted step's last tick waits for the next interrupt
+/// poll) is delivered before the world moves, so a poll boundary the
+/// board already crossed observes the world as it was when the board
+/// crossed it, whichever idle path got it there.
+fn epoch_slice_end(board: &mut Board, sockets: &mut SocketTable, end: u64) -> u64 {
     board.bus.advance(0);
     let boundary = (board.cpu.cycles / EPOCH_CYCLES + 1) * EPOCH_CYCLES;
     let world_end = boundary / EPOCH_CYCLES * EPOCH_US;
+    let port = board.nic_port_mut().expect("nic attached");
+    sockets.drain(port);
+    let world = sockets.host().world();
     let now = world.borrow().now();
     if world_end > now {
         world.borrow_mut().run_for(world_end - now);
     }
+    sockets.fill(port);
     boundary.min(end)
 }
 
 /// `Board::run` for `budget` cycles, one epoch slice at a time.
-fn run_sliced(world: &RefCell<World>, board: &mut Board, budget: u64) -> RunOutcome {
+fn run_sliced(board: &mut Board, sockets: &mut SocketTable, budget: u64) -> RunOutcome {
     let end = board.cpu.cycles + budget;
     loop {
-        let slice_end = epoch_slice_end(world, board, end);
+        let slice_end = epoch_slice_end(board, sockets, end);
         let outcome = board.run(slice_end - board.cpu.cycles);
         if outcome != RunOutcome::BudgetExhausted || board.cpu.cycles >= end {
             return outcome;
@@ -165,10 +174,10 @@ fn run_sliced(world: &RefCell<World>, board: &mut Board, budget: u64) -> RunOutc
 
 /// `Board::idle` (or the stepwise oracle) for `budget` cycles, one epoch
 /// slice at a time; stops early when an interrupt wakes the CPU.
-fn idle_sliced(world: &RefCell<World>, board: &mut Board, budget: u64, stepwise: bool) -> bool {
+fn idle_sliced(board: &mut Board, sockets: &mut SocketTable, budget: u64, stepwise: bool) -> bool {
     let end = board.cpu.cycles + budget;
     while board.cpu.halted && board.cpu.cycles < end {
-        let slice = epoch_slice_end(world, board, end) - board.cpu.cycles;
+        let slice = epoch_slice_end(board, sockets, end) - board.cpu.cycles;
         if stepwise {
             board.idle_stepwise(slice);
         } else {
@@ -188,18 +197,21 @@ fn boot(engine: Engine) -> Session {
     let board_ip = board_host.ip();
 
     let mut board = Board::with_engine(engine);
-    board.attach_nic(Nic::fleet_attached(board_host, 0));
+    let counters = NicCounters::register_board(world.borrow().telemetry(), 0);
+    board.attach_nic(Nic::with_counters(counters));
     board.serial_mut().set_tx_shift_cycles(SHIFT_CYCLES);
     let image = assemble(&firmware()).expect("firmware assembles");
     board.load(&image);
     board.set_pc(0x4000);
 
-    let _ = run_sliced(&world, &mut board, 20_000);
+    let mut sockets = SocketTable::new(board_host);
+    let _ = run_sliced(&mut board, &mut sockets, 20_000);
 
     let conn = client.connect(Endpoint::new(board_ip, PORT));
     Session {
         world,
         board,
+        sockets,
         client,
         conn,
         sent: Vec::new(),
@@ -211,11 +223,11 @@ fn boot(engine: Engine) -> Session {
 fn apply(s: &mut Session, op: &Op, stepwise: bool) {
     match *op {
         Op::Run(budget) => {
-            let outcome = run_sliced(&s.world, &mut s.board, budget);
+            let outcome = run_sliced(&mut s.board, &mut s.sockets, budget);
             s.outcomes.push(format!("{outcome:?}"));
         }
         Op::Idle(budget) => {
-            let woke = idle_sliced(&s.world, &mut s.board, budget, stepwise);
+            let woke = idle_sliced(&mut s.board, &mut s.sockets, budget, stepwise);
             s.outcomes.push(format!("idle:{woke}"));
         }
         Op::InjectSerial(byte) => s.board.serial_mut().inject(byte),
@@ -268,8 +280,10 @@ struct Fingerprint {
 
 fn fingerprint(mut s: Session) -> Fingerprint {
     // Deliver any quantum-deferred device time so all three paths are
-    // observed at the exact same device clock.
+    // observed at the exact same device clock, and hand the world the
+    // commands logged since the last barrier.
     s.board.bus.advance(0);
+    s.sockets.drain(s.board.nic_port_mut().expect("nic attached"));
     let nic = s.board.nic().expect("nic attached").counters().clone();
     let snapshot = s.world.borrow().telemetry().snapshot().to_text();
     Fingerprint {

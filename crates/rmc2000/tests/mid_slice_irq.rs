@@ -9,45 +9,9 @@
 //! `Board::run` calls (2,200 cycles, then 1,500) put the poll boundary at
 //! cycle 3,000 inside the second one.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use rabbit::{assemble, Engine};
 use rmc2000::nic::{CYCLES_PER_US, NIC_IER, POLL_PERIOD_US};
-use rmc2000::{Board, Nic, NicBackend, RunOutcome, NIC_VECTOR};
-
-/// A backend whose listen backlog fills when the test sets the shared
-/// flag and never drains: from the next poll boundary on, the NIC holds
-/// its interrupt.
-struct Backlog {
-    arrived: Rc<Cell<bool>>,
-}
-
-impl NicBackend for Backlog {
-    fn listen(&mut self, _port: u16) -> bool {
-        true
-    }
-    fn accept_ready(&self) -> bool {
-        self.arrived.get()
-    }
-    fn accept(&mut self, _handle: usize) -> bool {
-        false
-    }
-    fn close(&mut self, _handle: usize) {}
-    fn open(&self, _handle: usize) -> bool {
-        false
-    }
-    fn poll(&mut self, _handle: usize) -> Option<Vec<u8>> {
-        None
-    }
-    fn send(&mut self, _handle: usize, _frame: &[u8]) {}
-    fn established(&self, _handle: usize) -> bool {
-        false
-    }
-    fn peer_closed(&self, _handle: usize) -> bool {
-        false
-    }
-}
+use rmc2000::{Board, Nic, PortConn, RunOutcome, NIC_VECTOR};
 
 /// Enables the NIC interrupt, then counts in HL through 31-instruction
 /// blocks. The service routine halts, so HL keeps the count at the
@@ -69,18 +33,17 @@ fn firmware() -> String {
 
 /// HL, instructions and cycles at the ISR's `halt`.
 fn taken_at(engine: Engine) -> (u16, u64, u64) {
-    let arrived = Rc::new(Cell::new(false));
     let mut board = Board::with_engine(engine);
-    board.attach_nic(Nic::new(Box::new(Backlog {
-        arrived: Rc::clone(&arrived),
-    })));
+    board.attach_nic(Nic::default());
     board.load(&assemble(&firmware()).expect("firmware assembles"));
     board.set_pc(0x4000);
     assert_eq!(board.run(2_200), RunOutcome::BudgetExhausted);
     assert!(!board.cpu.halted, "{engine:?}: no interrupt before cycle 3,000");
     // The connection arrives between the first poll boundary (cycle
-    // 1,500) and the second (cycle 3,000).
-    arrived.set(true);
+    // 1,500) and the second (cycle 3,000). It is never accepted, so from
+    // the next poll boundary on the NIC holds its interrupt.
+    let port = board.nic_port_mut().expect("nic attached");
+    port.backlog.push_back(PortConn::default());
     // Dispatch acknowledges the request, so the line stays low until the
     // next poll boundary and the run returns as soon as the ISR halts.
     assert_eq!(board.run(1_500), RunOutcome::Halted, "{engine:?}: the ISR ran");

@@ -5,9 +5,8 @@
 //! (recorded status bytes, error counters, cycle counts) is
 //! byte-identical across both execution engines.
 //!
-//! The board runs as a one-board [`Fleet`]: its NIC is a passive world
-//! participant, so the scheduler must bring the world to each epoch
-//! boundary before the board gets there.
+//! The board runs as a one-board [`Fleet`]: its NIC meets the world only
+//! through the port the scheduler exchanges at each epoch barrier.
 
 use std::cell::RefCell;
 use std::rc::Rc;

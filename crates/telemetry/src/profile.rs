@@ -125,7 +125,7 @@ impl CycleProfiler {
     }
 
     /// Pushes a frame entered at `target` (call, rst, or interrupt
-    /// dispatch). Past [`MAX_DEPTH`] the frame is counted but not
+    /// dispatch). Past `MAX_DEPTH` the frame is counted but not
     /// interned; cycles keep billing to the deepest interned stack.
     pub fn call(&mut self, target: u16) {
         if self.overflow > 0 || self.stacks[self.cur].len() >= MAX_DEPTH {
