@@ -11,27 +11,18 @@
 //! Each engine is measured twice: in one unbounded run, and sliced into
 //! consecutive [`EPOCH_CYCLES`]-cycle runs, the budget a fleet epoch gives
 //! every board. The sliced row shows what the engine retires inside the
-//! fleet scheduler.
+//! fleet scheduler. Those rows run against [`NullIo`]; one more row runs
+//! the block cache sliced on a [`Board`], whose bus carries the serial
+//! port, the RTC and an idle NIC, to price what the bus costs per block.
 
 use aes_rabbit::{aes128_asm_source, testbench_workload};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rabbit::{assemble, Cpu, Engine, Image, Memory, NullIo};
-use rmc2000::EPOCH_CYCLES;
+use rmc2000::{load_phys, Board, Nic, RunOutcome, EPOCH_CYCLES};
 use std::time::Instant;
 
 const BLOCKS: usize = 32;
 const MAX_CYCLES: u64 = 200_000_000;
-
-/// The standard firmware load mapping (same as `aes_rabbit`/`dcc`).
-fn rmc_phys(addr: u16) -> u32 {
-    if addr >= 0xE000 {
-        u32::from(addr) + 0x76 * 0x1000
-    } else if addr >= 0x8000 {
-        u32::from(addr) + 0x78000
-    } else {
-        u32::from(addr)
-    }
-}
 
 struct Workload {
     image: Image,
@@ -49,16 +40,21 @@ fn workload() -> Workload {
 fn machine(w: &Workload) -> (Cpu, Memory) {
     let mut mem = Memory::new();
     for s in &w.image.sections {
-        mem.load(rmc_phys(s.addr), &s.bytes);
+        mem.load(load_phys(s.addr), &s.bytes);
     }
-    mem.load(rmc_phys(w.image.symbol("Akey").unwrap()), &w.key);
-    mem.load(rmc_phys(w.image.symbol("Ainput").unwrap()), &w.input);
+    load_data(w, &mut mem);
     let mut cpu = Cpu::new();
     cpu.mmu.segsize = 0xD8;
     cpu.mmu.dataseg = 0x78;
     cpu.mmu.stackseg = 0x78;
     cpu.regs.pc = 0x4000;
     (cpu, mem)
+}
+
+/// Loads the key and the plaintext blocks.
+fn load_data(w: &Workload, mem: &mut Memory) {
+    mem.load(load_phys(w.image.symbol("Akey").unwrap()), &w.key);
+    mem.load(load_phys(w.image.symbol("Ainput").unwrap()), &w.input);
 }
 
 /// Runs the workload to `halt` in runs of at most `slice` cycles.
@@ -70,6 +66,34 @@ fn run_once(w: &Workload, engine: Engine, slice: u64) -> (u64, u64) {
             .expect("AES run faults");
     }
     (cpu.cycles, cpu.instructions)
+}
+
+/// Runs the workload to `halt` on a board with an idle NIC, in
+/// `Board::run` slices of `slice` cycles on the block cache.
+fn run_on_board(w: &Workload, slice: u64) -> (u64, u64) {
+    let mut board = Board::new();
+    board.attach_nic(Nic::default());
+    board.load(&w.image);
+    load_data(w, &mut board.mem);
+    board.set_pc(0x4000);
+    while board.run(slice) != RunOutcome::Halted {
+        assert!(board.cpu.cycles < MAX_CYCLES, "AES run must halt");
+    }
+    (board.cpu.cycles, board.cpu.instructions)
+}
+
+/// Simulated MIPS and MHz of `run` over half a second of repeats.
+fn rate(mut run: impl FnMut() -> (u64, u64)) -> (f64, f64, u64) {
+    let (mut runs, mut instructions, mut cycles) = (0u64, 0u64, 0u64);
+    let t = Instant::now();
+    while t.elapsed().as_millis() < 500 {
+        let (c, i) = run();
+        cycles += c;
+        instructions += i;
+        runs += 1;
+    }
+    let secs = t.elapsed().as_secs_f64();
+    (instructions as f64 / secs / 1e6, cycles as f64 / secs / 1e6, runs)
 }
 
 const ENGINES: [(&str, Engine); 2] = [
@@ -86,6 +110,7 @@ fn bench_engines(c: &mut Criterion) {
         assert_eq!(run_once(&w, engine, MAX_CYCLES), reference);
         assert_eq!(run_once(&w, engine, EPOCH_CYCLES), reference);
     }
+    assert_eq!(run_on_board(&w, EPOCH_CYCLES), reference);
 
     let mut group = c.benchmark_group("sim_throughput");
     group.sample_size(20);
@@ -99,22 +124,15 @@ fn bench_engines(c: &mut Criterion) {
     for (label, slice) in [("unsliced", MAX_CYCLES), ("epoch-sliced", EPOCH_CYCLES)] {
         let mut rates = Vec::new();
         for (name, engine) in ENGINES {
-            let (mut runs, mut instructions, mut cycles) = (0u64, 0u64, 0u64);
-            let t = Instant::now();
-            while t.elapsed().as_millis() < 500 {
-                let (c, i) = run_once(&w, engine, slice);
-                cycles += c;
-                instructions += i;
-                runs += 1;
-            }
-            let secs = t.elapsed().as_secs_f64();
-            let mips = instructions as f64 / secs / 1e6;
-            let mhz = cycles as f64 / secs / 1e6;
+            let (mips, mhz, runs) = rate(|| run_once(&w, engine, slice));
             println!("  {name} {label}: {mips:.1} MIPS ({mhz:.1} sim-MHz, {runs} runs)");
             rates.push(mips);
         }
         println!("  {label} speedup: {:.2}x", rates[1] / rates[0]);
     }
+    let (mips, mhz, runs) = rate(|| run_on_board(&w, EPOCH_CYCLES));
+    let label = "block_cache epoch-sliced board bus";
+    println!("  {label}: {mips:.1} MIPS ({mhz:.1} sim-MHz, {runs} runs)");
 }
 
 criterion_group!(benches, bench_engines);

@@ -5,11 +5,23 @@
 //! replays them without re-fetching, re-decoding, or re-translating every
 //! byte. It is *cycle-exact and state-exact* with respect to the `step`
 //! interpreter — the differential tests in `tests/differential.rs` pin that
-//! invariant — with one documented scheduling difference: interrupts are
-//! sampled at block boundaries (at most [`BLOCK_CAP`] instructions apart)
-//! instead of between every instruction. A caller that needs an interrupt
-//! sampled at an exact instant ends the budget there (the board caps each
-//! run at the bus's next device deadline).
+//! invariant — and it takes an interrupt before the same instruction as
+//! the interpreter whenever the I/O space reports its
+//! [`IoSpace::horizon`] (`tests/interrupts.rs` pins that).
+//!
+//! Interrupt sampling: the interpreter polls the interrupt line before
+//! every instruction. Inside one engine run only three things can change
+//! that line: a device event, which the horizon bounds; an I/O-prefixed
+//! instruction; and an interrupt dispatch. The engine therefore samples
+//! the line (and the horizon) when it enters, after each of those two
+//! interpreted steps, and when the horizon runs out, and it ends a block
+//! at the horizon as it ends one at the budget. Between samples it
+//! compares the cached request with the current priority before every
+//! block, so `ipres`/`reti` unmask a pending request at the interpreter's
+//! instruction too. An I/O space whose horizon is unknown (`None`, the
+//! trait default) is sampled before every block and never splits one: a
+//! pending request may then be taken up to one block ([`BLOCK_CAP`]
+//! instructions) late.
 //!
 //! Design notes:
 //!
@@ -36,7 +48,12 @@
 //!   whole; otherwise only the prefix the interpreter would run executes,
 //!   ending at the first instruction boundary at or past the budget. The
 //!   only interpreted instructions are barriers and interrupt dispatch.
-//! * `io.tick` is batched: one call per block with the summed cycle count.
+//! * `io.tick` is batched: the engine owes the I/O space the cycles of
+//!   the blocks it runs and delivers them before each sample and each
+//!   interpreted step. At exit it delivers everything before the final
+//!   block, samples, and ticks the final block's cycles last: the state
+//!   a sample before every block leaves, so a bus device that batches
+//!   its ticks sees the run end at the same point either way.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -48,8 +65,8 @@ use crate::mem::{Memory, SegMap};
 use crate::registers::{Flags, Reg16, Reg8, Registers};
 
 /// Maximum number of straight-line instructions decoded into one block.
-/// Bounds the interrupt-sampling latency; the cycle budget is exact
-/// whatever the block length.
+/// Bounds the interrupt-sampling latency of an I/O space with an unknown
+/// horizon; the cycle budget is exact whatever the block length.
 pub const BLOCK_CAP: usize = 32;
 
 /// Cached blocks are dropped wholesale when the cache grows past this.
@@ -679,10 +696,13 @@ impl ExecEngine {
 impl Cpu {
     /// Runs until `halt`, a fault, or `max_cycles`, like [`Cpu::run`], but
     /// through the block-caching engine. Cycle counts, registers, memory,
-    /// and faults match the interpreter exactly; the only scheduling
-    /// difference is that interrupts are sampled at block boundaries (at
-    /// most [`BLOCK_CAP`] instructions apart) and `io.tick` receives one
-    /// batched call per block.
+    /// and faults match the interpreter exactly. So does the instruction
+    /// before which an interrupt is taken, when `io` reports its
+    /// [`IoSpace::horizon`]: the engine samples the line at entry, after
+    /// I/O-prefixed instructions and dispatches, and at the horizon, where
+    /// it ends a block. With an unknown horizon it samples before every
+    /// block instead. `io.tick` receives the run's cycles in batches (see
+    /// the module docs).
     ///
     /// # Errors
     ///
@@ -718,20 +738,37 @@ impl Cpu {
         max_cycles: u64,
     ) -> Result<u64, Fault> {
         let start = self.cycles;
+        // The last interrupt sample, and the cycle count up to which it
+        // holds (`None`: sample before the next block).
+        let mut irq = None;
+        let mut holds_until: Option<u64> = None;
+        // Block cycles not yet ticked into `io`, the most recent block's
+        // share of them, and whether a step has ticked `io` since it was
+        // last sampled.
+        let mut owed: u64 = 0;
+        let mut last: u64 = 0;
+        let mut stepped = false;
         while !self.halted && self.cycles - start < max_cycles {
-            // Interrupt sampling and prefixed instructions go through the
+            // Prefixed instructions and interrupt dispatch go through the
             // interpreter, which replicates `step`'s behaviour exactly.
+            // Both can change the interrupt line: sample again after them.
             if self.io_prefix.is_some() {
-                self.step(mem, io)?;
-                engine.drain_dirty(mem, None);
+                self.step_settled(engine, mem, io, &mut owed)?;
+                holds_until = None;
                 continue;
             }
-            if let Some(req) = io.pending_interrupt() {
-                if req.priority & 3 > self.priority() {
-                    self.step(mem, io)?;
-                    engine.drain_dirty(mem, None);
-                    continue;
+            if holds_until.is_none_or(|t| self.cycles >= t) {
+                if owed > 0 {
+                    io.tick(std::mem::take(&mut owed));
                 }
+                irq = io.pending_interrupt();
+                holds_until = io.horizon().map(|h| self.cycles.saturating_add(h.max(1)));
+                stepped = false;
+            }
+            if irq.is_some_and(|req| req.priority & 3 > self.priority()) {
+                self.step_settled(engine, mem, io, &mut owed)?;
+                holds_until = None;
+                continue;
             }
 
             engine.sync_seg(self);
@@ -743,9 +780,12 @@ impl Cpu {
                 let b = decode_block(&engine.seg, mem, self.regs.pc);
                 if b.body.is_empty() && b.term.is_none() {
                     // Barrier at the block start: interpret one
-                    // instruction and try again from the next PC.
-                    self.step(mem, io)?;
-                    engine.drain_dirty(mem, None);
+                    // instruction and try again from the next PC. An
+                    // `ioi`/`ioe` prefix byte, `ld xpc,a`, the `ldir`
+                    // family and `pop ip` cannot reach the bus, so the
+                    // sample still holds.
+                    self.step_settled(engine, mem, io, &mut owed)?;
+                    stepped = true;
                     continue;
                 }
                 let b = Rc::new(b);
@@ -754,15 +794,18 @@ impl Cpu {
             };
 
             // The interpreter starts an instruction only while the budget
-            // is not yet used up. When the block's last instruction starts
-            // inside the budget, the whole block runs; otherwise only the
+            // is not yet used up, and samples interrupts before each one.
+            // The block therefore ends at the budget or the horizon,
+            // whichever comes first: when its last instruction starts
+            // inside that limit the whole block runs; otherwise only the
             // prefix of body ops that start inside it does, and the run
-            // ends on exactly the interpreter's instruction boundary.
+            // stops on exactly the interpreter's instruction boundary.
             let left = max_cycles - (self.cycles - start);
-            let (body_len, term) = if u64::from(block.lead) < left {
+            let limit = holds_until.map_or(left, |t| left.min(t - self.cycles));
+            let (body_len, term) = if u64::from(block.lead) < limit {
                 (block.body.len(), block.term)
             } else {
-                (block.body_within(left), None)
+                (block.body_within(limit), None)
             };
             let map = engine.seg;
             let mut acc: u32 = 0;
@@ -794,12 +837,42 @@ impl Cpu {
             }
             self.cycles += u64::from(acc);
             self.instructions += retired;
-            io.tick(u64::from(acc));
+            last = u64::from(acc);
+            owed += last;
             if self.profiler.is_some() {
                 self.profile_block(&block, block_pc, body_retired, term_cycles);
             }
         }
+        // Leave `io` where sampling before every block leaves it:
+        // everything before the final block delivered and sampled (a bus
+        // flushes there), then the final block's cycles ticked, which a
+        // bus may hold back from a device with a tick quantum until the
+        // next run.
+        if owed > 0 {
+            if owed > last || stepped {
+                io.tick(owed - last);
+                let _ = io.pending_interrupt();
+            }
+            io.tick(last);
+        }
         Ok(self.cycles - start)
+    }
+
+    /// One interpreted [`Cpu::step`], after delivering the block cycles
+    /// `io` is owed.
+    fn step_settled<I: IoSpace + ?Sized>(
+        &mut self,
+        engine: &mut ExecEngine,
+        mem: &mut Memory,
+        io: &mut I,
+        owed: &mut u64,
+    ) -> Result<(), Fault> {
+        if *owed > 0 {
+            io.tick(std::mem::take(owed));
+        }
+        self.step(mem, io)?;
+        engine.drain_dirty(mem, None);
+        Ok(())
     }
 
     /// Replays a just-executed block's PC chain into the profiler. The

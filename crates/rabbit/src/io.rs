@@ -6,7 +6,9 @@
 //! instruction into the internal or external I/O space (the paper's
 //! `WrPortI(SADR, ...)` calls compile to `ioi ld (mn),a`). Peripherals
 //! implement [`IoSpace`]; the CPU consults it for prefixed accesses and
-//! polls it for interrupt requests between instructions.
+//! polls it for interrupt requests between instructions (the block cache
+//! polls only where the answer can have changed, see
+//! [`IoSpace::horizon`]).
 //!
 //! [`IoSpace`] is the CPU-facing contract. Real boards are assembled from
 //! a [`Bus`] of [`Device`]s: each device claims port ranges in the
@@ -72,6 +74,23 @@ pub trait IoSpace {
 
     /// Advances device time by `cycles` CPU clocks.
     fn tick(&mut self, _cycles: u64) {}
+
+    /// The interrupt horizon: for how many more cycles time alone cannot
+    /// change what [`IoSpace::pending_interrupt`] returns. Only a port
+    /// access or an acknowledge can change it sooner. Like
+    /// [`Device::next_deadline`], the answer is a lower bound: reporting
+    /// too few cycles is always safe, too many never is.
+    ///
+    /// The block-caching engine samples the interrupt line when it
+    /// enters, after an I/O-prefixed instruction or an interrupt
+    /// dispatch, and when the horizon runs out; it ends a block at the
+    /// horizon so a request raised there is taken before the same
+    /// instruction as under the interpreter. A horizon of 0 still lets
+    /// one instruction run. `None` (the default) means "unknown": the
+    /// engine then samples before every block.
+    fn horizon(&mut self) -> Option<u64> {
+        None
+    }
 }
 
 /// An I/O space with no peripherals: reads float high, writes vanish.
@@ -84,6 +103,10 @@ impl IoSpace for NullIo {
     }
 
     fn io_write(&mut self, _port: u16, _value: u8, _external: bool) {}
+
+    fn horizon(&mut self) -> Option<u64> {
+        Some(u64::MAX)
+    }
 }
 
 /// An inclusive range of ports claimed by a [`Device`] in one of the two
@@ -175,12 +198,18 @@ pub trait Device: Any {
     /// event, because an additive `tick` makes the intermediate values
     /// unobservable.
     ///
-    /// The deadline is a contract with [`Bus::next_deadline`]: it must be
+    /// Re-raising a level-triggered line after an acknowledge counts as
+    /// an event: a device that will assert its request again once time
+    /// passes, because the cause is still there, must report when.
+    ///
+    /// The deadline is a contract with [`Bus::next_deadline`] and, through
+    /// [`IoSpace::horizon`], with the block-caching engine: it must be
     /// a *lower bound* — the device may report an event earlier than it
     /// happens (the scheduler just wakes up, sees nothing pending, and
     /// asks again), but never later. Returning a conservative bound is
     /// always safe; returning `None` while an autonomous event is coming
-    /// is not.
+    /// is not: an idle batch would jump past it, and the block cache
+    /// would take the request late.
     fn next_deadline(&self) -> Option<u64> {
         None
     }
@@ -216,11 +245,11 @@ struct Slot {
 /// A registry of [`Device`]s behind one [`IoSpace`]: port-range routing,
 /// per-device tick batching, and prioritised interrupt arbitration.
 ///
-/// Determinism contract: before any port access, interrupt poll, or
-/// acknowledge, every device has received the exact total of cycles
-/// ticked so far (`flush`). Because the `ioi`/`ioe` prefixes are barriers
-/// in the block-caching engine, device state observed by the guest is
-/// byte-identical under both execution engines.
+/// Determinism contract: before any port access, interrupt poll, horizon
+/// query, or acknowledge, every device has received the exact total of
+/// cycles ticked so far (`flush`). Because the `ioi`/`ioe` prefixes are
+/// barriers in the block-caching engine, device state observed by the
+/// guest is byte-identical under both execution engines.
 #[derive(Default)]
 pub struct Bus {
     slots: Vec<Slot>,
@@ -413,6 +442,12 @@ impl IoSpace for Bus {
             }
         }
     }
+
+    /// The event horizon: no device changes its request before its own
+    /// next deadline.
+    fn horizon(&mut self) -> Option<u64> {
+        Some(self.next_deadline().unwrap_or(u64::MAX))
+    }
 }
 
 impl std::fmt::Debug for Bus {
@@ -434,6 +469,7 @@ mod tests {
         assert_eq!(io.io_read(0x1234, false), 0xFF);
         io.io_write(0, 0, true);
         assert_eq!(io.pending_interrupt(), None);
+        assert_eq!(io.horizon(), Some(u64::MAX));
     }
 
     #[test]
@@ -535,8 +571,10 @@ mod tests {
         assert_eq!(bus.next_deadline(), Some(300));
         bus.tick(10); // deferred by the quantum...
         assert_eq!(bus.next_deadline(), Some(290), "...but flushed first");
+        assert_eq!(bus.horizon(), Some(290), "the line holds until the alarm");
         bus.advance(290);
         assert_eq!(bus.next_deadline(), None, "fired alarms have no deadline");
+        assert_eq!(bus.horizon(), Some(u64::MAX), "no event ever: unbounded");
     }
 
     /// A device with no autonomous events at all.

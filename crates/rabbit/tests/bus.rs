@@ -319,3 +319,74 @@ fn nested_delivery_orders_by_priority() {
     // though the low-priority device attached first.
     assert_eq!(mem.read_phys(rabbit::fwmap::load_phys(0x8002)), 0);
 }
+
+/// A bus that keeps its horizon to itself, so the block cache samples it
+/// before every block.
+struct Unknown(Bus);
+
+impl IoSpace for Unknown {
+    fn io_read(&mut self, port: u16, external: bool) -> u8 {
+        self.0.io_read(port, external)
+    }
+
+    fn io_write(&mut self, port: u16, value: u8, external: bool) {
+        self.0.io_write(port, value, external);
+    }
+
+    fn pending_interrupt(&mut self) -> Option<Interrupt> {
+        self.0.pending_interrupt()
+    }
+
+    fn acknowledge_interrupt(&mut self, vector: u16) {
+        self.0.acknowledge_interrupt(vector);
+    }
+
+    fn tick(&mut self, cycles: u64) {
+        self.0.tick(cycles);
+    }
+}
+
+/// The block cache owes a bus the cycles between samples, but a run ends
+/// with the bus exactly where sampling before every block leaves it: the
+/// cycles a quantum-batched device has been handed agree after every run
+/// budget, whether the final block follows blocks or an interpreted
+/// `ldir`.
+#[test]
+fn owed_cycles_settle_as_sampling_every_block_would() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let src = "        org 0x4000\n\
+               start:  ld hl, 0x9000\n\
+                       ld de, 0x9100\n\
+                       ld bc, 3\n\
+                       ldir\n\
+                       inc a\n\
+                       inc a\n\
+                       jr start\n";
+    let batched = || {
+        let mut bus = Bus::new();
+        let mut d = dev("batched", 0x40);
+        d.quantum = 1_500;
+        let id = bus.attach(Box::new(d));
+        (bus, id)
+    };
+    let (mut cpu_a, mut mem_a) = machine(src);
+    let (mut cpu_b, mut mem_b) = machine(src);
+    let (bus_a, id_a) = batched();
+    let (mut bus_b, id_b) = batched();
+    let mut every_block = Unknown(bus_a);
+    let mut rng = StdRng::seed_from_u64(0xB0A7);
+    for slice in 0..300 {
+        let budget = rng.gen_range(1u64..=2_000);
+        cpu_a.run_fast(&mut mem_a, &mut every_block, budget).expect("runs");
+        cpu_b.run_fast(&mut mem_b, &mut bus_b, budget).expect("runs");
+        assert_eq!(cpu_a.cycles, cpu_b.cycles);
+        let handed = |bus: &Bus, id| bus.device::<TestDev>(id).ticked;
+        assert_eq!(
+            handed(&every_block.0, id_a),
+            handed(&bus_b, id_b),
+            "slice {slice}, budget {budget}"
+        );
+    }
+}

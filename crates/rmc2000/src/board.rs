@@ -262,11 +262,10 @@ impl Board {
     /// event-horizon scheduler (`Board::halted_advance`), which is
     /// engine-independent by construction.
     ///
-    /// Each engine run ends no later than the bus's next device deadline
-    /// (the E12 lower bound on any device event), so an interrupt a
-    /// device raises there is sampled before the next instruction on
-    /// either engine, although the block cache only samples between
-    /// blocks.
+    /// A device interrupt raised while the guest runs is taken before the
+    /// same instruction on either engine: the interpreter samples before
+    /// every instruction, and the block cache ends a block at the bus's
+    /// horizon (its next device deadline, [`rabbit::IoSpace::horizon`]).
     pub fn run(&mut self, max_cycles: u64) -> RunOutcome {
         let start = self.cpu.cycles;
         loop {
@@ -283,14 +282,7 @@ impl Board {
                 self.halted_advance(left);
                 None
             } else {
-                let budget = match self.bus.next_deadline() {
-                    Some(d) => left.min(d.max(1)),
-                    None => left,
-                };
-                match self
-                    .cpu
-                    .run_on(self.engine, &mut self.mem, &mut self.bus, budget)
-                {
+                match self.cpu.run_on(self.engine, &mut self.mem, &mut self.bus, left) {
                     Ok(_) => None,
                     Err(fault) => self.route_fault(fault),
                 }

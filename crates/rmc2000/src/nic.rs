@@ -601,8 +601,11 @@ impl Device for Nic {
         // polls nothing to act on until the guest issues a command —
         // which ends any halted batch — or the world moves, which
         // happens only at an epoch barrier, where the fleet scheduler
-        // bounds its skip by the world's next event.
-        (!self.port.quiet()).then_some(self.to_poll)
+        // bounds its skip by the world's next event. One poll acts
+        // even then: a frame still in a ring after its interrupt was
+        // taken re-raises the line.
+        let relatch = self.irq_enabled && !self.irq_pending && self.rx_pending() > 0;
+        (relatch || !self.port.quiet()).then_some(self.to_poll)
     }
 
     fn pending(&self) -> Option<Interrupt> {
@@ -762,6 +765,29 @@ mod tests {
         nic.tick(POLL_CYCLES);
         assert_eq!(nic.next_deadline(), Some(POLL_CYCLES - into));
         bound(&mut nic, 0).peer_closed = false;
+        assert_eq!(nic.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_frame_left_in_the_ring_after_its_interrupt_keeps_the_deadline() {
+        let mut nic = nic_open();
+        nic.write(NIC_IER, 1, true);
+        bound(&mut nic, 0).rx.extend(b"ten bytes!");
+        nic.tick(POLL_CYCLES);
+        assert!(nic.port().quiet(), "the poll took every readable byte");
+        assert!(rabbit::Device::pending(&nic).is_some());
+        assert_eq!(nic.next_deadline(), None, "a raised line stays up");
+        // The ISR is entered but does not `RX_NEXT`: the next poll raises
+        // the line again, so that poll is still an event.
+        nic.acknowledge(NIC_VECTOR);
+        nic.tick(100);
+        assert_eq!(nic.next_deadline(), Some(POLL_CYCLES - 100));
+        nic.tick(POLL_CYCLES - 100);
+        assert!(rabbit::Device::pending(&nic).is_some(), "re-raised");
+        assert_eq!(nic.counters().irqs.get(), 2);
+        // Drained, the port is quiet and so is the NIC.
+        nic.acknowledge(NIC_VECTOR);
+        nic.write(NIC_CMD, CMD_RX_NEXT, true);
         assert_eq!(nic.next_deadline(), None);
     }
 

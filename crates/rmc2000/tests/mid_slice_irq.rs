@@ -1,8 +1,9 @@
 //! A NIC interrupt that becomes pending strictly inside a run while the
-//! guest is executing. The block-caching engine samples interrupts only
-//! between blocks, so `Board::run` ends every engine run at the bus's
-//! next device deadline; the interrupt the NIC raises at that poll
-//! boundary is then taken before the same instruction on both engines.
+//! guest is executing. The block-caching engine does not poll the bus
+//! before every block: it ends a block at the bus's horizon (the next
+//! device deadline, here the NIC's poll boundary) and samples there, so
+//! the interrupt the NIC raises at that boundary is taken before the same
+//! instruction on both engines.
 //!
 //! In a fleet this happens whenever a board's slices end off the epoch
 //! grid, as they do after `Fleet::resurrect`; here two plain
