@@ -25,6 +25,7 @@
 pub mod asm_impl;
 pub mod csource;
 
+use rabbit::fwmap::load_phys;
 use rabbit::{assemble, Cpu, Engine, Memory, NullIo, ProfileReport, SymbolTable};
 
 pub use asm_impl::{
@@ -293,13 +294,13 @@ fn run_asm(
     let image = assemble(&src).map_err(|e| AesRabbitError::Build(e.to_string()))?;
     let mut mem = Memory::new();
     for s in &image.sections {
-        mem.load(rmc_phys(s.addr), &s.bytes);
+        mem.load(load_phys(s.addr), &s.bytes);
     }
     let key_addr = image.symbol("Akey").expect("Akey symbol");
     let in_addr = image.symbol("Ainput").expect("Ainput symbol");
     let out_addr = image.symbol("Aoutput").expect("Aoutput symbol");
-    mem.load(rmc_phys(key_addr), key);
-    mem.load(rmc_phys(in_addr), &flatten(blocks));
+    mem.load(load_phys(key_addr), key);
+    mem.load(load_phys(in_addr), &flatten(blocks));
 
     let mut cpu = Cpu::new();
     cpu.mmu.segsize = 0xD8;
@@ -315,7 +316,7 @@ fn run_asm(
         return Err(AesRabbitError::Run("did not halt".into()));
     }
     let report = take_report(&mut cpu, &image.symbols);
-    let out = mem.dump(rmc_phys(out_addr), blocks.len() * 16);
+    let out = mem.dump(load_phys(out_addr), blocks.len() * 16);
     Ok((
         Measurement {
             outputs: unflatten(&out),
@@ -325,17 +326,6 @@ fn run_asm(
         },
         report,
     ))
-}
-
-/// The shared logical→physical load mapping (same as `dcc::harness`).
-fn rmc_phys(addr: u16) -> u32 {
-    if addr >= 0xE000 {
-        u32::from(addr) + 0x76 * 0x1000
-    } else if addr >= 0x8000 {
-        u32::from(addr) + 0x78000
-    } else {
-        u32::from(addr)
-    }
 }
 
 /// Runs the compiled-C inverse cipher over ciphertext blocks on the

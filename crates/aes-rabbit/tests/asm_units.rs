@@ -4,17 +4,8 @@
 
 use aes_rabbit::aes128_asm_source;
 use crypto::gf;
+use rabbit::fwmap::load_phys;
 use rabbit::{assemble, Cpu, Image, Memory, NullIo};
-
-fn rmc_phys(addr: u16) -> u32 {
-    if addr >= 0xE000 {
-        u32::from(addr) + 0x76 * 0x1000
-    } else if addr >= 0x8000 {
-        u32::from(addr) + 0x78000
-    } else {
-        u32::from(addr)
-    }
-}
 
 struct Rig {
     image: Image,
@@ -28,7 +19,7 @@ impl Rig {
         let image = assemble(&src).expect("asm assembles");
         let mut mem = Memory::new();
         for s in &image.sections {
-            mem.load(rmc_phys(s.addr), &s.bytes);
+            mem.load(load_phys(s.addr), &s.bytes);
         }
         let mut cpu = Cpu::new();
         cpu.mmu.segsize = 0xD8;
@@ -43,7 +34,7 @@ impl Rig {
             .image
             .symbol(sym)
             .unwrap_or_else(|| panic!("symbol {sym}"));
-        self.mem.load(rmc_phys(addr), data);
+        self.mem.load(load_phys(addr), data);
     }
 
     fn read(&self, sym: &str, len: usize) -> Vec<u8> {
@@ -51,7 +42,7 @@ impl Rig {
             .image
             .symbol(sym)
             .unwrap_or_else(|| panic!("symbol {sym}"));
-        self.mem.dump(rmc_phys(addr), len)
+        self.mem.dump(load_phys(addr), len)
     }
 
     /// Calls `routine` and runs until the CPU halts (returns to `done:`).
@@ -61,7 +52,7 @@ impl Rig {
         self.cpu.halted = false;
         // push the return address (points at `halt`)
         self.cpu.regs.sp = 0xDFF0 - 2;
-        let sp_phys = rmc_phys(self.cpu.regs.sp);
+        let sp_phys = load_phys(self.cpu.regs.sp);
         self.mem.write_phys(sp_phys, (done & 0xFF) as u8);
         self.mem.write_phys(sp_phys + 1, (done >> 8) as u8);
         self.cpu.regs.pc = target;

@@ -4,6 +4,7 @@
 //! value `main` returned — the three measurements of the paper's
 //! Section 6.
 
+use rabbit::fwmap::load_phys;
 use rabbit::{assemble, Cpu, Image, Memory, NullIo};
 
 use crate::codegen::{compile, compile_firmware, layout, Options};
@@ -56,14 +57,6 @@ impl From<CompileError> for HarnessError {
     fn from(e: CompileError) -> HarnessError {
         HarnessError::Compile(e)
     }
-}
-
-/// Maps a logical address to its physical load address under the standard
-/// machine configuration. One definition for the whole repo: this is
-/// `rabbit::fwmap::load_phys`, which `rmc2000::Board::load` uses too, so
-/// harness-run programs and board-run firmware share a memory map.
-pub fn load_phys(addr: u16) -> u32 {
-    rabbit::fwmap::load_phys(addr)
 }
 
 /// Compiles and assembles a program.
@@ -136,16 +129,6 @@ impl Build {
             .sections
             .iter()
             .filter(|s| s.addr < layout::ROOT_DATA_ORG)
-            .map(|s| s.bytes.len())
-            .sum()
-    }
-
-    /// Data bytes (root and xmem data sections).
-    pub fn data_size(&self) -> usize {
-        self.image
-            .sections
-            .iter()
-            .filter(|s| s.addr >= layout::ROOT_DATA_ORG)
             .map(|s| s.bytes.len())
             .sum()
     }
@@ -251,25 +234,6 @@ impl Build {
             .symbol_phys(name)
             .unwrap_or_else(|| panic!("no symbol `{name}`"));
         mem.dump(phys, len)
-    }
-
-    /// Reads a compiled global (scalar or array element) after a run, for
-    /// differential tests. `mem` must come from [`Build::machine`].
-    pub fn read_global(
-        &self,
-        mem: &Memory,
-        name: &str,
-        index: usize,
-        is_char: bool,
-    ) -> Option<u16> {
-        let addr = self.image.symbol(name)?;
-        let elem = if is_char { 1 } else { 2 };
-        let phys = load_phys(addr) + (index * elem) as u32;
-        Some(if is_char {
-            u16::from(mem.read_phys(phys))
-        } else {
-            u16::from_le_bytes([mem.read_phys(phys), mem.read_phys(phys + 1)])
-        })
     }
 }
 

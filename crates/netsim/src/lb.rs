@@ -58,14 +58,7 @@ pub struct BackendStats {
 }
 
 struct Backend {
-    addr: Endpoint,
-    inflight: usize,
-    peak_inflight: usize,
-    served: u64,
-    failures: u64,
-    stalls: u64,
-    revivals: u64,
-    dead: bool,
+    stats: BackendStats,
     /// When the backend was (last) marked dead, or the last probe was
     /// dispatched — the reference point for the retry clock.
     dead_since_us: u64,
@@ -73,8 +66,9 @@ struct Backend {
 
 impl Backend {
     fn route_to(&mut self) {
-        self.inflight += 1;
-        self.peak_inflight = self.peak_inflight.max(self.inflight);
+        let s = &mut self.stats;
+        s.inflight += 1;
+        s.peak_inflight = s.peak_inflight.max(s.inflight);
     }
 }
 
@@ -269,14 +263,16 @@ impl LoadBalancer {
                 .push(reg.counter("lb.backend.revivals", &labels));
         }
         self.backends.push(Backend {
-            addr,
-            inflight: 0,
-            peak_inflight: 0,
-            served: 0,
-            failures: 0,
-            stalls: 0,
-            revivals: 0,
-            dead: false,
+            stats: BackendStats {
+                addr,
+                inflight: 0,
+                peak_inflight: 0,
+                served: 0,
+                failures: 0,
+                stalls: 0,
+                revivals: 0,
+                dead: false,
+            },
             dead_since_us: 0,
         });
         idx
@@ -304,19 +300,7 @@ impl LoadBalancer {
 
     /// Per-backend routing statistics, in backend-index order.
     pub fn backend_stats(&self) -> Vec<BackendStats> {
-        self.backends
-            .iter()
-            .map(|b| BackendStats {
-                addr: b.addr,
-                inflight: b.inflight,
-                peak_inflight: b.peak_inflight,
-                served: b.served,
-                failures: b.failures,
-                stalls: b.stalls,
-                revivals: b.revivals,
-                dead: b.dead,
-            })
-            .collect()
+        self.backends.iter().map(|b| b.stats.clone()).collect()
     }
 
     /// Picks a backend for a new (or failed-over) session, excluding
@@ -337,11 +321,11 @@ impl LoadBalancer {
         let cap = if respect_cap { self.max_inflight } else { None };
         let retry = self.retry_after_us;
         let eligible = |dead_ok: bool, i: usize, b: &Backend| -> bool {
-            let probe_due = b.dead
+            let probe_due = b.stats.dead
                 && retry.is_some_and(|gap| now.saturating_sub(b.dead_since_us) >= gap);
             !tried.contains(&i)
-                && (dead_ok || !b.dead || probe_due)
-                && cap.is_none_or(|m| b.inflight < m)
+                && (dead_ok || !b.stats.dead || probe_due)
+                && cap.is_none_or(|m| b.stats.inflight < m)
         };
         for dead_ok in [false, true] {
             let chosen = match self.policy {
@@ -353,14 +337,14 @@ impl LoadBalancer {
                     .iter()
                     .enumerate()
                     .filter(|(i, b)| eligible(dead_ok, *i, b))
-                    .min_by_key(|(i, b)| (b.inflight, *i))
+                    .min_by_key(|(i, b)| (b.stats.inflight, *i))
                     .map(|(i, _)| i),
             };
             if let Some(i) = chosen {
                 if self.policy == LbPolicy::RoundRobin {
                     self.rr_next = (i + 1) % self.backends.len();
                 }
-                if self.backends[i].dead {
+                if self.backends[i].stats.dead {
                     // A probe pick: restart the retry clock.
                     self.backends[i].dead_since_us = now;
                 }
@@ -391,7 +375,7 @@ impl LoadBalancer {
                 break; // every backend at its handle cap — hold off
             };
             self.waiting.pop_front();
-            let upstream = self.host.connect(self.backends[backend].addr);
+            let upstream = self.host.connect(self.backends[backend].stats.addr);
             self.backends[backend].route_to();
             self.sessions.push(Session {
                 client,
@@ -425,11 +409,11 @@ impl LoadBalancer {
                     self.failover_latency_us
                         .push(now.saturating_sub(s.connect_started_us));
                     let b = &mut self.backends[s.backend];
-                    b.inflight -= 1;
-                    b.failures += 1;
+                    b.stats.inflight -= 1;
+                    b.stats.failures += 1;
                     self.backend_failures[s.backend].inc();
-                    if !b.dead {
-                        b.dead = true;
+                    if !b.stats.dead {
+                        b.stats.dead = true;
                         self.counters.dead_marks.inc();
                     }
                     b.dead_since_us = now;
@@ -438,7 +422,7 @@ impl LoadBalancer {
                         Some(next) => {
                             self.counters.failovers.inc();
                             s.backend = next;
-                            s.upstream = self.host.connect(self.backends[next].addr);
+                            s.upstream = self.host.connect(self.backends[next].stats.addr);
                             s.connect_started_us = now;
                             self.backends[next].route_to();
                         }
@@ -464,9 +448,9 @@ impl LoadBalancer {
                 s.up_established = true;
                 s.last_progress_us = now;
                 let b = &mut self.backends[s.backend];
-                if b.dead {
-                    b.dead = false;
-                    b.revivals += 1;
+                if b.stats.dead {
+                    b.stats.dead = false;
+                    b.stats.revivals += 1;
                     self.backend_revivals[s.backend].inc();
                     self.counters.revivals.inc();
                 }
@@ -517,11 +501,11 @@ impl LoadBalancer {
                     self.host.abort(s.upstream);
                     self.host.abort(s.client);
                     let b = &mut self.backends[s.backend];
-                    b.inflight -= 1;
-                    b.stalls += 1;
+                    b.stats.inflight -= 1;
+                    b.stats.stalls += 1;
                     self.counters.stalls.inc();
-                    if !b.dead {
-                        b.dead = true;
+                    if !b.stats.dead {
+                        b.stats.dead = true;
                         self.counters.dead_marks.inc();
                     }
                     b.dead_since_us = now;
@@ -531,8 +515,8 @@ impl LoadBalancer {
             }
             if s.up_closed && s.down_closed {
                 let b = &mut self.backends[s.backend];
-                b.inflight -= 1;
-                b.served += 1;
+                b.stats.inflight -= 1;
+                b.stats.served += 1;
                 self.backend_served[s.backend].inc();
                 self.counters.closed.inc();
                 finished.push(si);

@@ -87,7 +87,6 @@ struct Link {
 #[derive(Debug)]
 struct Host {
     ip: Ipv4,
-    name: String,
     icmp_inbox: VecDeque<(Ipv4, IcmpEcho)>,
     next_ephemeral: u16,
 }
@@ -367,11 +366,6 @@ impl World {
         self.socket_events.drain(..).collect()
     }
 
-    /// Whether any readiness event is waiting to be drained.
-    pub fn has_socket_events(&self) -> bool {
-        !self.socket_events.is_empty()
-    }
-
     fn push_event(&mut self, event: SocketEvent) {
         if self.socket_events_enabled {
             self.socket_events.push_back(event);
@@ -415,12 +409,12 @@ impl World {
         self.now
     }
 
-    /// Adds a host with the given address.
-    pub fn add_host(&mut self, name: &str, ip: Ipv4) -> HostId {
+    /// Adds a host with the given address. The name only labels the call
+    /// site; the world addresses hosts by [`HostId`] and keeps no names.
+    pub fn add_host(&mut self, _name: &str, ip: Ipv4) -> HostId {
         let id = HostId(self.hosts.len());
         self.hosts.push(Host {
             ip,
-            name: name.to_string(),
             icmp_inbox: VecDeque::new(),
             next_ephemeral: 49152,
         });
@@ -430,11 +424,6 @@ impl World {
     /// The address of a host.
     pub fn host_ip(&self, host: HostId) -> Ipv4 {
         self.hosts[host.0].ip
-    }
-
-    /// The name of a host.
-    pub fn host_name(&self, host: HostId) -> &str {
-        &self.hosts[host.0].name
     }
 
     /// Connects two hosts with a bidirectional link. The returned
@@ -458,15 +447,6 @@ impl World {
             corrupt: None,
         });
         LinkId(id)
-    }
-
-    /// The link joining hosts `a` and `b` (either orientation), if one
-    /// exists.
-    pub fn link_between(&self, a: HostId, b: HostId) -> Option<LinkId> {
-        self.links
-            .iter()
-            .position(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
-            .map(LinkId)
     }
 
     /// Rewrites a link's drop rate in place — the mid-session flap the

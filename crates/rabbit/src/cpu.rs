@@ -126,9 +126,6 @@ pub struct Cpu {
     /// cycles are not instructions and are not counted).
     pub instructions: u64,
     pub(crate) io_prefix: Option<IoPrefix>,
-    /// Block cache for [`Cpu::run_fast`]; created lazily on first use and
-    /// boxed so the plain interpreter pays nothing for it.
-    pub(crate) engine: Option<Box<crate::exec::ExecEngine>>,
     /// Cycle-attribution profiler; `None` (the default) costs one branch
     /// per retired instruction and nothing else.
     pub(crate) profiler: Option<Box<telemetry::CycleProfiler>>,
@@ -144,7 +141,6 @@ impl Cpu {
             cycles: 0,
             instructions: 0,
             io_prefix: None,
-            engine: None,
             profiler: None,
         }
     }

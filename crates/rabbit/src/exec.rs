@@ -36,12 +36,18 @@
 //!   per-segment translation cache compiled from the MMU registers; the
 //!   mapping cannot change mid-block because every instruction that could
 //!   change it ends (or falls outside) the block.
-//! * Self-modifying code: [`Memory`] records dirty 256-byte pages while
-//!   the engine runs. After every store the engine invalidates cached
-//!   blocks on dirtied pages, and aborts the current block if its own
-//!   pages were hit, resuming interpretation at the next instruction.
-//!   Stores to flash are dropped by the memory model and therefore never
-//!   invalidate anything.
+//! * Invalidation has one path. The cache lives in the [`Memory`] it was
+//!   decoded from, which keeps one bit per 256-byte page holding cached
+//!   code. Any store to such a page clears the bit and records the page,
+//!   whoever makes it: a block, an interpreted step, another CPU on the
+//!   same memory, a host `write_phys`, or a [`Memory::load`] (flash
+//!   included). The engine drains the record when it enters and after
+//!   every store, evicting the blocks decoded from each recorded page, and
+//!   aborts the current block if its own pages were hit, resuming at the
+//!   next instruction. Stores to other pages, such as the stack push of an
+//!   interrupt dispatch, leave the cache alone, and runtime stores to
+//!   flash are dropped by the memory model. The only whole-cache flush is
+//!   the size cap.
 //! * The cycle budget is exact per block. Body ops have fixed costs, so a
 //!   block knows at decode time when its last instruction starts (its
 //!   *lead* cycles). A block whose lead fits the remaining budget runs
@@ -164,13 +170,14 @@ enum Op {
     Ipres,
 }
 
-/// A body op plus its fixed cycle cost and the logical PC of the *next*
-/// instruction (the resume point if the block aborts after this op).
+/// A body op plus its fixed cycle cost and its length in bytes (the step
+/// to the next instruction, where the block resumes if it aborts after
+/// this op). Six bytes: the cache keeps every block it decodes.
 #[derive(Debug, Clone, Copy)]
 struct DecOp {
     op: Op,
     cycles: u8,
-    next_pc: u16,
+    len: u8,
 }
 
 /// A decoded straight-line run. A cached block is never empty: a barrier
@@ -185,12 +192,24 @@ struct Block {
     /// which the last instruction starts. Exact, because only the
     /// terminator's cost varies.
     lead: u32,
-    /// Distinct 256-byte physical pages the decoded bytes came from;
-    /// a store to any of them invalidates the block.
-    pages: Box<[u16]>,
+    /// The first and the last 256-byte physical page the decoded bytes
+    /// came from (equal when there is one); a store to either
+    /// invalidates the block.
+    pages: [u16; 2],
 }
 
+// A block's bytes are contiguous and at most `(BLOCK_CAP + 1) * 4` long
+// (no instruction is longer than 4 bytes), so they lie on at most two
+// pages: the first and the last one read.
+const _: () = assert!((BLOCK_CAP + 1) * 4 <= 256);
+
 impl Block {
+    /// The one or two physical pages the block was decoded from.
+    fn pages(&self) -> &[u16] {
+        let n = if self.pages[0] == self.pages[1] { 1 } else { 2 };
+        &self.pages[..n]
+    }
+
     /// How many body ops the interpreter would start within `budget`
     /// cycles: every op that begins before the budget runs out.
     fn body_within(&self, budget: u64) -> usize {
@@ -213,21 +232,18 @@ enum Dec {
 }
 
 /// Decode-time instruction-stream reader: translates through the block's
-/// [`SegMap`] snapshot and records every physical page it touches.
+/// [`SegMap`] snapshot and records the physical page it read last.
 struct Cursor<'a> {
     pc: u16,
     map: &'a SegMap,
     mem: &'a Memory,
-    pages: &'a mut Vec<u16>,
+    last_page: u16,
 }
 
 impl Cursor<'_> {
     fn take8(&mut self) -> u8 {
         let phys = self.map.translate(self.pc);
-        let page = (phys >> 8) as u16;
-        if !self.pages.contains(&page) {
-            self.pages.push(page);
-        }
+        self.last_page = (phys >> 8) as u16;
         self.pc = self.pc.wrapping_add(1);
         self.mem.read_phys(phys)
     }
@@ -240,26 +256,25 @@ impl Cursor<'_> {
 }
 
 fn decode_block(map: &SegMap, mem: &Memory, start_pc: u16) -> Block {
-    let mut pages = Vec::new();
+    let first_page = (map.translate(start_pc) >> 8) as u16;
+    let mut cur = Cursor {
+        pc: start_pc,
+        map,
+        mem,
+        last_page: first_page,
+    };
     let mut body = Vec::new();
     let mut term = None;
-    let mut pc = start_pc;
     while body.len() < BLOCK_CAP {
-        let mut cur = Cursor {
-            pc,
-            map,
-            mem,
-            pages: &mut pages,
-        };
+        let pc = cur.pc;
         match decode_one(&mut cur) {
             Dec::Barrier => break,
             Dec::Body(op, cycles) => {
                 body.push(DecOp {
                     op,
                     cycles,
-                    next_pc: cur.pc,
+                    len: cur.pc.wrapping_sub(pc) as u8,
                 });
-                pc = cur.pc;
             }
             Dec::Term(op) => {
                 term = Some((op, cur.pc));
@@ -278,7 +293,7 @@ fn decode_block(map: &SegMap, mem: &Memory, start_pc: u16) -> Block {
         body: body.into_boxed_slice(),
         term,
         lead,
-        pages: pages.into_boxed_slice(),
+        pages: [first_page, cur.last_page],
     }
 }
 
@@ -601,22 +616,14 @@ fn block_key(pc: u16, cpu: &Cpu) -> u64 {
         | u64::from(cpu.regs.xpc) << 40
 }
 
-/// Persistent state of the block-caching engine, owned by the [`Cpu`] and
-/// reused across [`Cpu::run_fast`] calls.
+/// The block cache: blocks decoded from one [`Memory`], owned by it and
+/// reused by every [`Cpu::run_fast`] call on it.
 pub struct ExecEngine {
     blocks: HashMap<u64, Rc<Block>, BuildHasherDefault<KeyHasher>>,
-    /// Physical page -> keys of cached blocks decoded from it. Entries may
-    /// linger after a block is evicted via another of its pages; removal
-    /// by a dead key is a no-op.
+    /// Physical page -> keys of the cached blocks decoded from it.
     page_blocks: HashMap<u16, Vec<u64>>,
-    /// One bit per 256-byte physical page: set when any cached block was
-    /// decoded from bytes on that page.
-    page_has_code: [u64; 64],
     seg: SegMap,
     seg_key: Option<(u8, u8, u8, u8)>,
-    /// Identity + epoch of the memory these blocks were decoded from; any
-    /// mismatch at entry triggers a full flush.
-    mem_stamp: Option<(u64, u64)>,
 }
 
 impl Default for ExecEngine {
@@ -624,10 +631,8 @@ impl Default for ExecEngine {
         ExecEngine {
             blocks: HashMap::default(),
             page_blocks: HashMap::new(),
-            page_has_code: [0; 64],
             seg: crate::mem::Mmu::new().seg_map(0),
             seg_key: None,
-            mem_stamp: None,
         }
     }
 }
@@ -646,23 +651,13 @@ impl ExecEngine {
         }
     }
 
-    fn flush_all(&mut self, mem: &mut Memory) {
-        self.blocks.clear();
-        self.page_blocks.clear();
-        self.page_has_code = [0; 64];
-        // No code pages left: stores stop recording dirty pages entirely
-        // until new blocks are inserted.
-        mem.code_pages = [0; 64];
-    }
-
     fn insert(&mut self, key: u64, block: &Rc<Block>, mem: &mut Memory) {
         if self.blocks.len() >= MAX_CACHED_BLOCKS {
-            self.flush_all(mem);
+            self.blocks.clear();
+            self.page_blocks.clear();
+            mem.code_pages = [0; 64];
         }
-        for &page in &block.pages {
-            self.page_has_code[usize::from(page >> 6)] |= 1 << (page & 63);
-            // Mirror into the memory-side filter so only stores that can
-            // actually hit cached code pay the dirty-tracking cost.
+        for &page in block.pages() {
             mem.code_pages[usize::from(page >> 6)] |= 1 << (page & 63);
             self.page_blocks.entry(page).or_default().push(key);
         }
@@ -670,23 +665,23 @@ impl ExecEngine {
     }
 
     /// Consumes `mem.dirty_pages`, evicting cached blocks decoded from any
-    /// dirtied page. Returns true if `current` itself was hit (the caller
-    /// must abort replaying it).
+    /// page stored to. Returns true if `current` itself was hit (the
+    /// caller must abort replaying it).
     fn drain_dirty(&mut self, mem: &mut Memory, current: Option<&Block>) -> bool {
         let mut conflict = false;
-        while let Some(page) = mem.dirty_pages.pop() {
-            if let Some(cur) = current {
-                if cur.pages.contains(&page) {
-                    conflict = true;
-                }
-            }
-            if self.page_has_code[usize::from(page >> 6)] & (1 << (page & 63)) != 0 {
-                if let Some(keys) = self.page_blocks.remove(&page) {
-                    for k in keys {
-                        self.blocks.remove(&k);
+        for page in mem.dirty_pages.drain(..) {
+            conflict |= current.is_some_and(|cur| cur.pages.contains(&page));
+            for k in self.page_blocks.remove(&page).unwrap_or_default() {
+                let Some(block) = self.blocks.remove(&k) else {
+                    continue;
+                };
+                // Unlist it from its other pages too, so a long-lived
+                // cache keeps no dead keys.
+                for other in block.pages().iter().filter(|&&p| p != page) {
+                    if let Some(keys) = self.page_blocks.get_mut(other) {
+                        keys.retain(|&x| x != k);
                     }
                 }
-                self.page_has_code[usize::from(page >> 6)] &= !(1 << (page & 63));
             }
         }
         conflict
@@ -713,20 +708,11 @@ impl Cpu {
         io: &mut I,
         max_cycles: u64,
     ) -> Result<u64, Fault> {
-        let mut engine = self.engine.take().unwrap_or_default();
-        // Any mutation the engine did not observe (interpreter runs,
-        // `Memory::load`, a different Memory instance) invalidates
-        // everything.
-        if engine.mem_stamp != Some((mem.mem_id, mem.store_epoch)) {
-            engine.flush_all(mem);
-        }
-        mem.track_dirty = true;
-        mem.dirty_pages.clear();
-        let result = self.run_blocks(&mut engine, mem, io, max_cycles);
+        let mut engine = mem.cache.take().unwrap_or_default();
+        // Stores made since the last run, by anyone, evict their pages.
         engine.drain_dirty(mem, None);
-        mem.track_dirty = false;
-        engine.mem_stamp = Some((mem.mem_id, mem.store_epoch));
-        self.engine = Some(engine);
+        let result = self.run_blocks(&mut engine, mem, io, max_cycles);
+        mem.cache = Some(engine);
         result
     }
 
@@ -817,7 +803,7 @@ impl Cpu {
                 acc += u32::from(dop.cycles);
                 retired += 1;
                 body_retired += 1;
-                self.regs.pc = dop.next_pc;
+                self.regs.pc = self.regs.pc.wrapping_add(u16::from(dop.len));
                 if !mem.dirty_pages.is_empty() && engine.drain_dirty(mem, Some(&block)) {
                     // The block modified its own code: resume at the next
                     // instruction, which will be freshly decoded.
@@ -894,7 +880,7 @@ impl Cpu {
         let mut pc = block_pc;
         for dop in block.body.iter().take(body_retired) {
             p.record(pc, u64::from(dop.cycles));
-            pc = dop.next_pc;
+            pc = pc.wrapping_add(u16::from(dop.len));
         }
         if let (Some(cycles), Some((op, _))) = (term_cycles, block.term) {
             // Record before the frame change, as the interpreter does.
@@ -1305,5 +1291,67 @@ impl Cpu {
             }
             _ => unreachable!("body op in terminal slot"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::{Interrupt, NullIo};
+    use crate::mem::SRAM_BASE;
+
+    /// Requests one priority-1 interrupt at vector `0x0200`.
+    struct OneIrq(bool);
+
+    impl IoSpace for OneIrq {
+        fn io_read(&mut self, _addr: u16, _external: bool) -> u8 {
+            0xFF
+        }
+        fn io_write(&mut self, _addr: u16, _v: u8, _external: bool) {}
+        fn pending_interrupt(&mut self) -> Option<Interrupt> {
+            self.0.then_some(Interrupt {
+                priority: 1,
+                vector: 0x0200,
+            })
+        }
+        fn acknowledge_interrupt(&mut self, _vector: u16) {
+            self.0 = false;
+        }
+        fn tick(&mut self, _cycles: u64) {}
+    }
+
+    fn cached(mem: &Memory, cpu: &Cpu, pc: u16) -> Rc<Block> {
+        let engine = mem.cache.as_ref().expect("cache built");
+        Rc::clone(engine.blocks.get(&block_key(pc, cpu)).expect("block cached"))
+    }
+
+    #[test]
+    fn a_store_to_a_page_without_code_keeps_the_cache() {
+        // Flash code at 0x0100: ld a,1 / halt. The stack sits in SRAM.
+        let mut mem = Memory::new();
+        mem.load(0x0100, &[0x3E, 0x01, 0x76]);
+        let mut cpu = Cpu::new();
+        cpu.mmu.stackseg = 0x78;
+        cpu.regs.sp = 0xDF00;
+        cpu.regs.pc = 0x0100;
+        cpu.run_fast(&mut mem, &mut NullIo, 100).expect("runs");
+        assert!(cpu.halted);
+        let before = cached(&mem, &cpu, 0x0100);
+
+        // An interrupt dispatched from `halt` pushes the PC onto the
+        // stack page, outside the engine. The next run keeps the block.
+        cpu.step(&mut mem, &mut OneIrq(true)).expect("dispatches");
+        assert_eq!(cpu.regs.pc, 0x0200);
+        cpu.regs.pc = 0x0100;
+        cpu.run_fast(&mut mem, &mut NullIo, 100).expect("runs");
+        assert!(Rc::ptr_eq(&before, &cached(&mem, &cpu, 0x0100)), "block kept");
+
+        // A load over the code page evicts it: the next run decodes anew.
+        mem.load(0x0101, &[0x02]);
+        (cpu.regs.pc, cpu.halted) = (0x0100, false);
+        cpu.run_fast(&mut mem, &mut NullIo, 100).expect("runs");
+        assert!(!Rc::ptr_eq(&before, &cached(&mem, &cpu, 0x0100)), "block evicted");
+        assert_eq!(cpu.regs.a, 2);
+        assert_eq!(mem.read_phys(SRAM_BASE + 0x5EFE), 0x03, "the pushed PC low byte");
     }
 }

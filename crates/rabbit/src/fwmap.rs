@@ -3,11 +3,11 @@
 //! Dynamic C places root code at [`CODE_ORG`], root data at
 //! [`ROOT_DATA_ORG`] (reached through the data segment, which the reset
 //! configuration points at SRAM), and xmem sections in the `XPC` window
-//! at [`XMEM_DATA_ORG`] on the page [`XMEM_XPC`] selects. Both
-//! `rmc2000::Board::load` and the `dcc` test harness load images with
-//! [`load_phys`]; keeping one definition here is what guarantees that a
-//! program the compiler harness runs behaves identically on the board
-//! model.
+//! at [`XMEM_DATA_ORG`] on the page [`XMEM_XPC`] selects.
+//! `rmc2000::Board::load`, the `dcc` test harness and the `aes-rabbit`
+//! runners all load images with [`load_phys`]; keeping one definition
+//! here is what guarantees that a program the compiler harness runs
+//! behaves identically on the board model.
 
 /// Root code origin (flash).
 pub const CODE_ORG: u16 = 0x4000;

@@ -137,7 +137,8 @@ impl Default for Mmu {
     }
 }
 
-/// The physical memory of the board: flash plus SRAM.
+/// The physical memory of the board: flash plus SRAM, and the block cache
+/// decoded from it.
 ///
 /// Unpopulated physical addresses read as `0xFF` and ignore writes, like a
 /// floating bus.
@@ -147,58 +148,43 @@ pub struct Memory {
     /// Count of stores that targeted flash and were dropped; useful for
     /// catching firmware bugs in tests.
     pub flash_write_faults: u64,
-    /// Monotonic counter bumped on every mutation of RAM contents (SRAM
-    /// stores and [`Memory::load`]). The block-caching engine compares it
-    /// against the value it last saw to detect writes that happened while
-    /// it was not watching. Dropped flash stores do not bump it: they
-    /// change no bytes, so cached code stays valid.
-    pub(crate) store_epoch: u64,
-    /// When set, every mutated 256-byte physical page is appended to
-    /// [`Memory::dirty_pages`] so the execution engine can invalidate
-    /// cached code. Off by default: the plain interpreter pays nothing.
-    pub(crate) track_dirty: bool,
-    /// Pages (physical address `>> 8`) mutated since the engine last
-    /// drained the list. May contain duplicates.
-    pub(crate) dirty_pages: Vec<u16>,
-    /// Bitset of pages holding cached code, mirrored from the execution
-    /// engine. Acts as a store-side filter: writes to pages with no
-    /// cached code skip dirty tracking entirely, which keeps the common
-    /// data store as cheap as in the plain interpreter.
+    /// One bit per 256-byte physical page: set while the page holds
+    /// cached code that no store has hit since it was decoded. A store
+    /// to a set page clears the bit and records the page in
+    /// [`Memory::dirty_pages`]; stores to every other page (the common
+    /// data store, and every store of a run that never used the block
+    /// cache) pay one bit test and nothing else.
     pub(crate) code_pages: [u64; 64],
-    /// Process-unique identity so a cached engine can tell two `Memory`
-    /// instances apart (a fresh memory restarts the epoch counter).
-    pub(crate) mem_id: u64,
+    /// Cached-code pages stored to since the block cache last drained
+    /// the list, whichever engine or host call made the store. Each page
+    /// appears at most once, so the list is bounded by the page count.
+    pub(crate) dirty_pages: Vec<u16>,
+    /// The block cache of [`crate::Cpu::run_fast`]: it lives with the
+    /// bytes it was decoded from, so no other memory can replay it and
+    /// every CPU running on this memory shares it. Created on first use.
+    pub(crate) cache: Option<Box<crate::exec::ExecEngine>>,
 }
 
 impl Memory {
     /// Creates memory with erased flash (all `0xFF`) and zeroed SRAM.
     pub fn new() -> Memory {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Memory {
             flash: vec![0xFF; FLASH_SIZE],
             sram: vec![0; SRAM_SIZE],
             flash_write_faults: 0,
-            store_epoch: 0,
-            track_dirty: false,
-            dirty_pages: Vec::new(),
             code_pages: [0; 64],
-            mem_id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            dirty_pages: Vec::new(),
+            cache: None,
         }
     }
 
+    /// Records a store to physical page `page` if it holds cached code.
     #[inline]
-    fn mark_dirty(&mut self, phys: u32) {
-        self.store_epoch = self.store_epoch.wrapping_add(1);
-        if self.track_dirty {
-            let page = (phys >> 8) as u16;
-            // Only pages that hold cached code matter; everything else
-            // (the overwhelmingly common case) skips the list.
-            if self.code_pages[(page >> 6) as usize] & (1 << (page & 63)) != 0
-                && self.dirty_pages.last() != Some(&page)
-            {
-                self.dirty_pages.push(page);
-            }
+    fn mark_dirty(&mut self, page: u32) {
+        let (word, bit) = ((page >> 6) as usize, 1u64 << (page & 63));
+        if self.code_pages[word] & bit != 0 {
+            self.code_pages[word] &= !bit;
+            self.dirty_pages.push(page as u16);
         }
     }
 
@@ -224,7 +210,7 @@ impl Memory {
             self.flash_write_faults += 1;
         } else if p < FLASH_SIZE + SRAM_SIZE {
             self.sram[p - FLASH_SIZE] = v;
-            self.mark_dirty(phys);
+            self.mark_dirty(phys >> 8);
         }
     }
 
@@ -253,13 +239,12 @@ impl Memory {
                 .copy_from_slice(&bytes[src..src + (hi - lo)]);
         }
 
-        // A load rewrites arbitrary code, including flash: bump the epoch
-        // so a cached engine does a full flush, and record pages when
-        // tracking is live.
-        self.store_epoch = self.store_epoch.wrapping_add(1);
-        if self.track_dirty && !bytes.is_empty() {
-            for page in (phys >> 8)..=((end.saturating_sub(1)) as u32 >> 8) {
-                self.dirty_pages.push(page as u16);
+        // A load rewrites arbitrary code, flash included: record every
+        // populated page it touched, as a store would.
+        let populated_end = end.min(sram_end);
+        if start < populated_end {
+            for page in (start >> 8)..=((populated_end - 1) >> 8) {
+                self.mark_dirty(page as u32);
             }
         }
     }
@@ -416,34 +401,28 @@ mod tests {
     }
 
     #[test]
-    fn sram_stores_bump_epoch_and_record_pages_when_tracked() {
+    fn stores_and_loads_record_each_cached_code_page_once() {
+        let page = |phys: u32| (phys >> 8) as u16;
         let mut mem = Memory::new();
-        let e0 = mem.store_epoch;
-        mem.write_phys(0x100, 0xAB); // flash: dropped, no epoch bump
-        assert_eq!(mem.store_epoch, e0);
         mem.write_phys(SRAM_BASE, 1);
-        assert_eq!(mem.store_epoch, e0 + 1);
-        assert!(mem.dirty_pages.is_empty(), "tracking off by default");
+        assert!(mem.dirty_pages.is_empty(), "no cached code, nothing recorded");
 
-        mem.track_dirty = true;
-        // Mark both target pages as holding cached code; stores to pages
-        // without the bit are filtered out before they reach the list.
-        for page in [
-            ((SRAM_BASE + 0x100) >> 8) as u16,
-            ((SRAM_BASE + 0x300) >> 8) as u16,
-        ] {
-            mem.code_pages[(page >> 6) as usize] |= 1 << (page & 63);
+        // Mark three pages as holding cached code, one of them in flash;
+        // stores to pages without the bit are filtered out.
+        for phys in [0x100, SRAM_BASE + 0x100, SRAM_BASE + 0x300] {
+            mem.code_pages[usize::from(page(phys) >> 6)] |= 1 << (page(phys) & 63);
         }
+        mem.write_phys(0x123, 0xAB); // flash: dropped, changes no code
         mem.write_phys(SRAM_BASE + 0x123, 2);
-        mem.write_phys(SRAM_BASE + 0x124, 3); // same page, deduped
+        mem.write_phys(SRAM_BASE + 0x124, 3); // same page: recorded once
         mem.write_phys(SRAM_BASE + 0x400, 4); // no code bit: filtered
         mem.write_phys(SRAM_BASE + 0x300, 5);
+        mem.load(0xF0, &[0; 0x20]); // a load over flash code records it
+        mem.write_phys(SRAM_BASE + 0x1FF, 6); // recorded until drained
         assert_eq!(
             mem.dirty_pages,
-            vec![
-                ((SRAM_BASE + 0x100) >> 8) as u16,
-                ((SRAM_BASE + 0x300) >> 8) as u16
-            ]
+            vec![page(SRAM_BASE + 0x100), page(SRAM_BASE + 0x300), page(0x100)]
         );
+        assert_eq!(mem.code_pages, [0; 64], "each recorded page left the set");
     }
 }

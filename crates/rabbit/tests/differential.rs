@@ -468,6 +468,84 @@ fn self_modification_of_next_instruction() {
     assert!(setups[0].1 == setups[1].1, "registers diverged");
 }
 
+/// Code rewritten from outside the engine between `run_fast` slices: by
+/// a host `write_phys`, by `Memory::load`, by the program's own stores
+/// during an interpreted `Cpu::run` slice, and by a second CPU on the
+/// same memory. Every slice must end where an interpreter-only run of the
+/// same schedule ends.
+#[test]
+fn code_rewritten_outside_the_engine_is_never_replayed() {
+    // CPU 1 at 0xE000 (phys SRAM_BASE, XPC=0x72), looping forever:
+    //   ld hl, 0xE008  ; 21 08 E0
+    //   ld b, 40       ; 06 28
+    //   inc (hl)       ; 34        <- loop: patches the add immediate
+    //   nop            ; 00        <- host patches: nop / inc a / dec a
+    //   add a, 1       ; C6 01
+    //   djnz loop      ; 10 FA
+    //   jr 0xE003      ; 18 F6
+    let main = [0x21, 0x08, 0xE0, 0x06, 0x28, 0x34, 0x00, 0xC6, 0x01, 0x10, 0xFA, 0x18, 0xF6];
+    // CPU 2 at 0xE100, on another page: ld hl, 0xE008 / dec (hl) / halt.
+    let helper = [0x21, 0x08, 0xE0, 0x35, 0x76];
+    let boot = || {
+        let mut mem = Memory::new();
+        mem.load(SRAM_BASE, &main);
+        mem.load(SRAM_BASE + 0x100, &helper);
+        let mut cpus = [Cpu::new(), Cpu::new()];
+        for (cpu, pc) in cpus.iter_mut().zip([0xE000, 0xE100]) {
+            cpu.regs.xpc = 0x72;
+            cpu.regs.pc = pc;
+        }
+        (cpus, mem)
+    };
+    let mut kinds = [0u32; 4];
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0C0D_E000);
+        let ([mut a, mut a2], mut mem_a) = boot();
+        let ([mut b, mut b2], mut mem_b) = boot();
+        for slice in 0..200 {
+            let budget = rng.gen_range(1u64..=300);
+            let kind = rng.gen_range(0..4usize);
+            kinds[kind] += 1;
+            match kind {
+                0 => {
+                    let v = [0x00, 0x3C, 0x3D][rng.gen_range(0..3usize)];
+                    mem_a.write_phys(SRAM_BASE + 6, v);
+                    mem_b.write_phys(SRAM_BASE + 6, v);
+                }
+                1 => {
+                    let v: u8 = rng.gen();
+                    mem_a.load(SRAM_BASE + 8, &[v]);
+                    mem_b.load(SRAM_BASE + 8, &[v]);
+                }
+                2 => {
+                    let ra = a.run(&mut mem_a, &mut NullIo, budget);
+                    let rb = b.run(&mut mem_b, &mut NullIo, budget);
+                    assert_eq!(ra, rb, "interpreted slice (seed {seed}, slice {slice})");
+                }
+                _ => {
+                    for cpu in [&mut a2, &mut b2] {
+                        (cpu.regs.pc, cpu.halted) = (0xE100, false);
+                    }
+                    let ra = a2.run(&mut mem_a, &mut NullIo, 100);
+                    let rb = b2.run_fast(&mut mem_b, &mut NullIo, 100);
+                    assert_eq!(ra, rb, "second cpu (seed {seed}, slice {slice})");
+                }
+            }
+            let ra = a.run(&mut mem_a, &mut NullIo, budget);
+            let rb = b.run_fast(&mut mem_b, &mut NullIo, budget);
+            assert_eq!(ra, rb, "result diverged (seed {seed}, slice {slice})");
+            assert_eq!(a.cycles, b.cycles, "cycles diverged (seed {seed}, slice {slice})");
+            assert!(a.regs == b.regs, "registers diverged (seed {seed}, slice {slice})");
+            assert_eq!(
+                mem_a.dump(SRAM_BASE, 0x200),
+                mem_b.dump(SRAM_BASE, 0x200),
+                "code diverged (seed {seed}, slice {slice})"
+            );
+        }
+    }
+    assert!(kinds.iter().all(|&n| n > 1000), "schedule lost coverage: {kinds:?}");
+}
+
 /// Remapping DATASEG between two executions of the same PC must not
 /// replay a block decoded under the old mapping.
 #[test]

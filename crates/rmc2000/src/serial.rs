@@ -69,19 +69,9 @@ impl SerialPort {
         self.shift_cycles = cycles_per_byte;
     }
 
-    /// Whether the transmit shifter is empty (SASR bit 2).
-    pub fn tx_idle(&self) -> bool {
-        self.shifting.is_empty()
-    }
-
     /// Host side: everything the firmware transmitted so far.
     pub fn transmitted(&self) -> &[u8] {
         &self.tx
-    }
-
-    /// Host side: clears the transmit capture.
-    pub fn clear_transmitted(&mut self) {
-        self.tx.clear();
     }
 
     /// CPU side: reads a port register.
