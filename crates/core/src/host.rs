@@ -509,8 +509,8 @@ pub fn publish_key_hash(fs: &crate::fs::Filesystem, kx: &crate::session::ServerK
 /// Convenience: build the standard two-host rig (server + client LAN).
 pub fn standard_rig(seed: u64) -> (Net, HostId, HostId) {
     let net = Net::new(seed);
-    let server = net.add_host("server", Ipv4::new(10, 0, 0, 1));
-    let client = net.add_host("client", Ipv4::new(10, 0, 0, 2));
+    let server = net.add_host(Ipv4::new(10, 0, 0, 1));
+    let client = net.add_host(Ipv4::new(10, 0, 0, 2));
     net.link(server, client, netsim::LinkParams::lan_100m());
     (net, server, client)
 }

@@ -13,6 +13,11 @@
 //!   allocation from an `xalloc` arena, and a circular log instead of a
 //!   file.
 //!
+//! Under both sit the sans-I/O pieces that take bytes in and give bytes
+//! out with no transport: the session core ([`machine`]), the one echo
+//! client schedule built on it ([`echo`]), and the event loop that
+//! multiplexes many machines over netsim sockets ([`serve`]).
+//!
 //! Layering (§2: "After a normal unencrypted socket is created, the issl
 //! API allows a user to bind to the socket and then do secure read/writes
 //! on it"):
@@ -25,6 +30,7 @@
 //!   ── simulated TCP/IP ─────────────────────── netsim
 //! ```
 
+pub mod echo;
 pub mod fs;
 pub mod host;
 pub mod kdf;
@@ -37,6 +43,7 @@ pub mod serve;
 pub mod session;
 pub mod wire;
 
+pub use echo::EchoClient;
 pub use fs::Filesystem;
 pub use host::ComputeCost;
 pub use log::{CircularLog, FileLog, Log};

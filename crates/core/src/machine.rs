@@ -26,7 +26,7 @@ use crypto::{cbc_decrypt, cbc_encrypt, hmac_sha1, sha1, verify_hmac_sha1, Prng, 
 use rsa::PublicKey;
 
 use crate::kdf::{derive_session_keys, SessionKeys};
-use crate::record::{Record, RecordError, RecordType, MAX_RECORD};
+use crate::record::{push_record, Record, RecordError, RecordType, MAX_RECORD};
 use crate::recmap;
 use crate::session::{ClientConfig, ClientKx, IsslError, ServerConfig, ServerKx};
 use crate::wire::{suite_from_bytes, suite_to_bytes, WireError};
@@ -275,19 +275,12 @@ impl SessionMachine {
     // ---- internals ----------------------------------------------------
 
     fn emit_record(&mut self, kind: RecordType, body: &[u8]) -> Result<(), IsslError> {
-        if body.len() > MAX_RECORD {
-            return Err(IsslError::Record(RecordError::TooLong(body.len())));
-        }
-        self.outbox.push(kind.to_byte());
-        self.outbox
-            .extend_from_slice(&(body.len() as u16).to_be_bytes());
-        self.outbox.extend_from_slice(body);
-        Ok(())
+        push_record(&mut self.outbox, kind, body).map_err(IsslError::Record)
     }
 
-    /// Pops one complete record off the inbox, reproducing the blocking
-    /// `read_record`'s error order: EOF only at a record boundary, then
-    /// type byte, then length, with truncation-by-EOF mapping to
+    /// Pops one complete record off the inbox. Errors come in stream
+    /// order: EOF only at a record boundary, then the type byte, then the
+    /// length, with truncation-by-EOF mapping to
     /// [`WireError::UnexpectedEof`].
     fn next_record(&mut self) -> Result<Option<Record>, RecordError> {
         if self.inbox.is_empty() {

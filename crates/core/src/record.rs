@@ -1,12 +1,15 @@
-//! The issl record layer: type-length-value framing over a [`Wire`],
-//! with encrypted records carrying `IV || CBC(payload) || HMAC`.
+//! The issl record layer: type-length-value framing, with encrypted
+//! records carrying `IV || CBC(payload) || HMAC`. Framing is sans-I/O:
+//! `push_record` writes a frame into a byte buffer and the
+//! [`SessionMachine`](crate::SessionMachine) parses inbound frames from
+//! the bytes it is fed.
 //!
 //! The wire constants (type bytes, header layout, size cap) live in
 //! [`crate::recmap`] — shared with the guest C record runtime, which is
 //! generated from the same module.
 
 use crate::recmap;
-use crate::wire::{Wire, WireError};
+use crate::wire::WireError;
 
 /// Record content types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,12 +82,6 @@ impl std::fmt::Display for RecordError {
 
 impl std::error::Error for RecordError {}
 
-impl From<WireError> for RecordError {
-    fn from(e: WireError) -> RecordError {
-        RecordError::Wire(e)
-    }
-}
-
 /// A parsed record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
@@ -94,102 +91,105 @@ pub struct Record {
     pub body: Vec<u8>,
 }
 
-/// Writes a record: `[type:1][len:2 BE][body]`.
+/// Appends a record to `out`: `[type:1][len:2 BE][body]`. The reading
+/// half of the framing is [`SessionMachine`](crate::SessionMachine)'s
+/// inbound record parser.
 ///
 /// # Errors
 ///
-/// [`RecordError::TooLong`] or a transport failure.
-pub fn write_record<W: Wire + ?Sized>(
-    wire: &mut W,
+/// [`RecordError::TooLong`] for a body over [`MAX_RECORD`]; `out` is
+/// then left as it was.
+pub(crate) fn push_record(
+    out: &mut Vec<u8>,
     kind: RecordType,
     body: &[u8],
 ) -> Result<(), RecordError> {
     if body.len() > MAX_RECORD {
         return Err(RecordError::TooLong(body.len()));
     }
-    let mut frame = Vec::with_capacity(3 + body.len());
-    frame.push(kind.to_byte());
-    frame.extend_from_slice(&(body.len() as u16).to_be_bytes());
-    frame.extend_from_slice(body);
-    wire.write_all(&frame)?;
+    out.push(kind.to_byte());
+    out.extend_from_slice(&(body.len() as u16).to_be_bytes());
+    out.extend_from_slice(body);
     Ok(())
-}
-
-/// Reads one record.
-///
-/// # Errors
-///
-/// [`RecordError::Eof`] on a clean end of stream before the first header
-/// byte; other variants on malformed or truncated frames.
-pub fn read_record<W: Wire + ?Sized>(wire: &mut W) -> Result<Record, RecordError> {
-    let mut header = [0u8; 3];
-    // First byte may hit EOF cleanly.
-    let n = wire.read(&mut header[..1])?;
-    if n == 0 {
-        return Err(RecordError::Eof);
-    }
-    wire.read_exact(&mut header[1..])?;
-    let kind = RecordType::from_byte(header[0]).ok_or(RecordError::BadType(header[0]))?;
-    let len = usize::from(u16::from_be_bytes([header[1], header[2]]));
-    if len > MAX_RECORD {
-        return Err(RecordError::TooLong(len));
-    }
-    let mut body = vec![0u8; len];
-    wire.read_exact(&mut body)?;
-    Ok(Record { kind, body })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::PipePair;
+    use crate::machine::SessionMachine;
+    use crate::session::{CipherSuite, IsslError, ServerConfig, ServerKx};
+    use crypto::Prng;
+
+    fn server() -> SessionMachine {
+        let config = ServerConfig {
+            suites: vec![CipherSuite::AES128],
+            kx: ServerKx::PreShared(b"record psk".to_vec()),
+        };
+        SessionMachine::server(config, Prng::new(9))
+    }
+
+    /// A well-formed ClientHello body: the suite, then a nonce.
+    fn hello_body() -> Vec<u8> {
+        let mut body = crate::wire::suite_to_bytes(CipherSuite::AES128).to_vec();
+        body.extend_from_slice(&[0x5a; recmap::NONCE_LEN]);
+        body
+    }
 
     #[test]
     fn record_round_trip() {
-        let cell = PipePair::new();
-        let (mut a, mut b) = PipePair::ends(&cell);
-        write_record(&mut a, RecordType::Data, b"payload").unwrap();
-        let r = read_record(&mut b).unwrap();
-        assert_eq!(r.kind, RecordType::Data);
-        assert_eq!(r.body, b"payload");
+        let mut out = Vec::new();
+        push_record(&mut out, RecordType::ClientHello, &hello_body()).unwrap();
+        let mut s = server();
+        s.feed(&out).unwrap();
+        // The server parsed the hello and answered it.
+        assert_eq!(s.take_output()[0], recmap::REC_SERVER_HELLO);
     }
 
     #[test]
     fn empty_body_is_fine() {
-        let cell = PipePair::new();
-        let (mut a, mut b) = PipePair::ends(&cell);
-        write_record(&mut a, RecordType::Alert, &[]).unwrap();
-        let r = read_record(&mut b).unwrap();
-        assert_eq!(r.kind, RecordType::Alert);
-        assert!(r.body.is_empty());
-    }
-
-    #[test]
-    fn oversized_record_rejected_on_write() {
-        let cell = PipePair::new();
-        let (mut a, _b) = PipePair::ends(&cell);
-        let big = vec![0u8; MAX_RECORD + 1];
+        let mut out = Vec::new();
+        push_record(&mut out, RecordType::Alert, &[]).unwrap();
+        assert_eq!(out, [recmap::REC_ALERT, 0, 0]);
+        // The frame parses; only the handshake objects to an alert here.
+        let mut s = server();
         assert_eq!(
-            write_record(&mut a, RecordType::Data, &big),
-            Err(RecordError::TooLong(MAX_RECORD + 1))
+            s.feed(&out),
+            Err(IsslError::Handshake("expected client hello"))
         );
     }
 
     #[test]
+    fn oversized_record_rejected_on_write() {
+        let mut out = vec![7];
+        let big = vec![0u8; MAX_RECORD + 1];
+        assert_eq!(
+            push_record(&mut out, RecordType::Data, &big),
+            Err(RecordError::TooLong(MAX_RECORD + 1))
+        );
+        assert_eq!(out, [7], "nothing appended");
+    }
+
+    #[test]
     fn bad_type_byte_rejected() {
-        let cell = PipePair::new();
-        let (mut a, mut b) = PipePair::ends(&cell);
-        a.write_all(&[0x99, 0, 0]).unwrap();
-        assert_eq!(read_record(&mut b), Err(RecordError::BadType(0x99)));
+        let mut s = server();
+        assert_eq!(
+            s.feed(&[0x99, 0, 0]),
+            Err(IsslError::Record(RecordError::BadType(0x99)))
+        );
     }
 
     #[test]
     fn multiple_records_in_sequence() {
-        let cell = PipePair::new();
-        let (mut a, mut b) = PipePair::ends(&cell);
-        write_record(&mut a, RecordType::ClientHello, b"one").unwrap();
-        write_record(&mut a, RecordType::Data, b"two").unwrap();
-        assert_eq!(read_record(&mut b).unwrap().body, b"one");
-        assert_eq!(read_record(&mut b).unwrap().body, b"two");
+        let mut out = Vec::new();
+        push_record(&mut out, RecordType::ClientHello, &hello_body()).unwrap();
+        push_record(&mut out, RecordType::Alert, recmap::ALERT_CLOSE).unwrap();
+        // One feed carries both: the hello is answered, then the alert
+        // where the key exchange belongs ends the handshake.
+        let mut s = server();
+        assert_eq!(
+            s.feed(&out),
+            Err(IsslError::Handshake("expected key exchange"))
+        );
+        assert_eq!(s.take_output()[0], recmap::REC_SERVER_HELLO);
     }
 }

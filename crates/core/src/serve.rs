@@ -19,6 +19,7 @@ use crypto::Prng;
 use netsim::{Endpoint, HostId, Ipv4, LinkParams, Recv, SocketEvent, SocketId};
 use sockets::Net;
 
+use crate::echo::EchoClient;
 use crate::machine::SessionMachine;
 use crate::session::{CipherSuite, ClientConfig, ClientKx, IsslError, ServerConfig, ServerKx};
 
@@ -44,30 +45,60 @@ fn suite_label(s: &CipherSuite) -> String {
 /// What a multiplexed connection is doing.
 enum ConnKind {
     /// Server side: echo every decrypted byte back, encrypted.
-    Echo,
-    /// Load-generator client: handshake, send `payload`, expect it back.
-    Client {
-        payload: Vec<u8>,
-        received: Vec<u8>,
-        sent: bool,
-        hs_start_us: u64,
-        hs_done_us: Option<u64>,
-        /// Virtual time the echo payload entered the machine, for the
-        /// `serve.echo_us` round-trip histogram.
-        echo_sent_us: Option<u64>,
-        /// Pre-rendered label for `serve.handshakes{suite=...}`.
-        suite_label: String,
-    },
+    Echo(SessionMachine),
+    /// Load-generator client: handshake, send one payload, expect it
+    /// back.
+    Client(LoadClient),
+}
+
+/// A load-generator client: the echo schedule plus its measurements.
+struct LoadClient {
+    echo: EchoClient,
+    hs_start_us: u64,
+    /// Virtual time the handshake finished and the schedule wrote the
+    /// payload: the `serve.echo_us` round trip starts here.
+    established_us: Option<u64>,
+    /// Pre-rendered label for `serve.handshakes{suite=...}`.
+    suite_label: String,
 }
 
 /// One multiplexed connection: a sans-I/O machine plus transmit state.
 struct Conn {
-    machine: SessionMachine,
     kind: ConnKind,
     /// Machine output the TCP send buffer has not yet accepted.
     out_pending: Vec<u8>,
     /// Close once `out_pending` drains.
     want_close: bool,
+}
+
+impl ConnKind {
+    fn feed(&mut self, bytes: &[u8]) -> Result<(), IsslError> {
+        match self {
+            ConnKind::Echo(m) => m.feed(bytes),
+            ConnKind::Client(c) => c.echo.feed(bytes),
+        }
+    }
+
+    fn feed_eof(&mut self) {
+        match self {
+            ConnKind::Echo(m) => m.feed_eof(),
+            ConnKind::Client(c) => c.echo.feed_eof(),
+        }
+    }
+
+    fn error(&self) -> Option<&IsslError> {
+        match self {
+            ConnKind::Echo(m) => m.error(),
+            ConnKind::Client(c) => c.echo.error(),
+        }
+    }
+
+    fn take_output(&mut self) -> Vec<u8> {
+        match self {
+            ConnKind::Echo(m) => m.take_output(),
+            ConnKind::Client(c) => c.echo.take_output(),
+        }
+    }
 }
 
 /// A listener: every accepted connection becomes an echo server session.
@@ -217,22 +248,16 @@ impl EventLoop {
         seed: u64,
     ) -> SocketId {
         let sid = self.net.with(|w| w.tcp_connect(host, server));
-        let label = suite_label(&config.suite);
-        let machine = SessionMachine::client(config, Prng::new(seed));
-        let hs_start_us = self.net.now();
+        let client = LoadClient {
+            suite_label: suite_label(&config.suite),
+            hs_start_us: self.net.now(),
+            established_us: None,
+            echo: EchoClient::new(config, Prng::new(seed), vec![payload]),
+        };
         self.conns.insert(
             sid,
             Conn {
-                machine,
-                kind: ConnKind::Client {
-                    payload,
-                    received: Vec::new(),
-                    sent: false,
-                    hs_start_us,
-                    hs_done_us: None,
-                    echo_sent_us: None,
-                    suite_label: label,
-                },
+                kind: ConnKind::Client(client),
                 out_pending: Vec::new(),
                 want_close: false,
             },
@@ -325,8 +350,7 @@ impl EventLoop {
             self.conns.insert(
                 conn,
                 Conn {
-                    machine,
-                    kind: ConnKind::Echo,
+                    kind: ConnKind::Echo(machine),
                     out_pending: Vec::new(),
                     want_close: false,
                 },
@@ -363,7 +387,7 @@ impl EventLoop {
                 break;
             }
             let conn = self.conns.get_mut(&sid).expect("pumped conn exists");
-            if conn.machine.feed(&buf[..n]).is_err() {
+            if conn.kind.feed(&buf[..n]).is_err() {
                 break;
             }
         }
@@ -371,70 +395,51 @@ impl EventLoop {
         let now = self.net.now();
         let conn = self.conns.get_mut(&sid).expect("pumped conn exists");
         if eof {
-            conn.machine.feed_eof();
+            conn.kind.feed_eof();
         }
 
-        let mut fail_kind = match conn.machine.error() {
+        let mut fail_kind = match conn.kind.error() {
             Some(e) => Some(error_kind(e)),
             None if reset => Some("reset"),
             None => None,
         };
-        let mut completed_latency = None;
-        let mut echo_latency = None;
+        // (handshake latency, echo round trip) of a completed client.
+        let mut completed = None;
         let mut hs_span: Option<(String, u64)> = None;
         if fail_kind.is_none() {
             match &mut conn.kind {
-                ConnKind::Echo => {
-                    let plain = conn.machine.take_plaintext();
-                    if !plain.is_empty() && conn.machine.write(&plain).is_err() {
-                        fail_kind = Some(conn.machine.error().map_or("write", error_kind));
-                    } else if conn.machine.is_peer_closed() {
+                ConnKind::Echo(machine) => {
+                    let plain = machine.take_plaintext();
+                    if !plain.is_empty() && machine.write(&plain).is_err() {
+                        fail_kind = Some(machine.error().map_or("write", error_kind));
+                    } else if machine.is_peer_closed() {
                         conn.want_close = true;
                     }
                 }
-                ConnKind::Client {
-                    payload,
-                    received,
-                    sent,
-                    hs_start_us,
-                    hs_done_us,
-                    echo_sent_us,
-                    suite_label,
-                } => {
-                    if conn.machine.is_established() {
-                        if hs_done_us.is_none() {
-                            *hs_done_us = Some(now - *hs_start_us);
-                            hs_span = Some((suite_label.clone(), *hs_start_us));
-                        }
-                        if !*sent {
-                            *sent = true;
-                            *echo_sent_us = Some(now);
-                            let data = payload.clone();
-                            if conn.machine.write(&data).is_err() {
-                                fail_kind =
-                                    Some(conn.machine.error().map_or("write", error_kind));
-                            }
-                        }
+                ConnKind::Client(c) => {
+                    if c.echo.is_established() && c.established_us.is_none() {
+                        c.established_us = Some(now);
+                        hs_span = Some((c.suite_label.clone(), c.hs_start_us));
                     }
-                    if fail_kind.is_none() {
-                        received.extend(conn.machine.take_plaintext());
-                        if received.len() >= payload.len() && !payload.is_empty() {
-                            if received == payload {
-                                completed_latency = Some(hs_done_us.unwrap_or(0));
-                                echo_latency = echo_sent_us.map(|t| now - t);
+                    if c.echo.step().is_err() {
+                        fail_kind = Some("write");
+                    } else {
+                        let payload = &c.echo.messages()[0];
+                        if c.echo.echoed().len() >= payload.len() && !payload.is_empty() {
+                            if c.echo.echoed() == payload {
+                                // The schedule closed the session with this echo.
+                                let done = c.established_us.unwrap_or(c.hs_start_us);
+                                completed = Some((done - c.hs_start_us, now - done));
+                                conn.want_close = true;
                             } else {
                                 fail_kind = Some("echo_mismatch");
                             }
-                        } else if conn.machine.is_peer_closed() {
+                        } else if c.echo.is_peer_closed() {
                             // Peer went away before the echo finished.
                             fail_kind = Some("premature_close");
                         }
                     }
                 }
-            }
-            if completed_latency.is_some() {
-                let _ = conn.machine.close();
-                conn.want_close = true;
             }
         }
 
@@ -448,12 +453,10 @@ impl EventLoop {
             self.fail(sid, kind);
             return;
         }
-        if let Some(latency) = completed_latency {
+        if let Some((latency, rtt)) = completed {
             self.handshake_us.push(latency);
             self.hs_hist.record(latency);
-            if let Some(rtt) = echo_latency {
-                self.echo_hist.record(rtt);
-            }
+            self.echo_hist.record(rtt);
             self.completed += 1;
             self.completed_ctr.inc();
         }
@@ -467,7 +470,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&sid) else {
             return;
         };
-        conn.out_pending.extend(conn.machine.take_output());
+        conn.out_pending.extend(conn.kind.take_output());
         let mut failed = false;
         while !conn.out_pending.is_empty() {
             let room = net.with(|w| w.tcp_send_room(sid));
@@ -503,7 +506,7 @@ impl EventLoop {
     /// under `serve.errors{kind=...}`.
     fn fail(&mut self, sid: SocketId, kind: &str) {
         if let Some(conn) = self.conns.remove(&sid) {
-            if matches!(conn.kind, ConnKind::Client { .. }) {
+            if matches!(conn.kind, ConnKind::Client(_)) {
                 self.failed += 1;
                 self.failed_ctr.inc();
             }
@@ -630,11 +633,11 @@ pub fn run_load_report(spec: &LoadSpec) -> LoadReport {
 
     let net = Net::new(spec.seed);
     let server_ip = Ipv4::new(10, 0, 0, 1);
-    let server = net.add_host("server", server_ip);
+    let server = net.add_host(server_ip);
     let mut hosts = Vec::new();
     for i in 0..spec.client_hosts.max(1) {
         let ip = Ipv4::new(10, 0, 1 + (i / 200) as u8, (2 + i % 200) as u8);
-        let h = net.add_host(&format!("load-{i}"), ip);
+        let h = net.add_host(ip);
         net.link(server, h, LinkParams::ethernet_10base_t());
         hosts.push(h);
     }
@@ -738,8 +741,8 @@ mod tests {
         };
         let net = Net::new(11);
         let server_ip = Ipv4::new(10, 0, 0, 1);
-        let server = net.add_host("server", server_ip);
-        let client = net.add_host("client", Ipv4::new(10, 0, 0, 2));
+        let server = net.add_host(server_ip);
+        let client = net.add_host(Ipv4::new(10, 0, 0, 2));
         net.link(server, client, LinkParams::ethernet_10base_t());
 
         let mut el = EventLoop::new(&net);
@@ -777,8 +780,8 @@ mod tests {
         };
         let net = Net::new(13);
         let server_ip = Ipv4::new(10, 0, 0, 1);
-        let server = net.add_host("server", server_ip);
-        let client = net.add_host("client", Ipv4::new(10, 0, 0, 2));
+        let server = net.add_host(server_ip);
+        let client = net.add_host(Ipv4::new(10, 0, 0, 2));
         net.link(server, client, LinkParams::ethernet_10base_t());
 
         let mut el = EventLoop::new(&net);

@@ -179,8 +179,7 @@ impl<W: Wire> Session<W> {
 
     /// Pumps wire bytes through the machine until the handshake finishes
     /// or fails. Output is flushed before the error check so protocol
-    /// alerts (unsupported suite, bad finished) reach the peer first,
-    /// exactly like the blocking code's `let _ = write_record(alert)`.
+    /// alerts (unsupported suite, bad finished) reach the peer first.
     fn drive_handshake(wire: &mut W, machine: &mut SessionMachine) -> Result<(), IsslError> {
         loop {
             let out = machine.take_output();
@@ -271,11 +270,6 @@ impl<W: Wire> Session<W> {
     /// Gives back the transport.
     pub fn into_wire(self) -> W {
         self.wire
-    }
-
-    /// Records sent so far (sequence number of the next outgoing record).
-    pub fn records_sent(&self) -> u64 {
-        self.machine.records_sent()
     }
 }
 

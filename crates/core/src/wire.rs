@@ -179,75 +179,75 @@ impl Wire for DynicWire {
     }
 }
 
-/// An in-memory pipe pair for unit-testing the record layer without a
-/// network.
-#[derive(Debug, Default)]
-pub struct PipePair {
-    a_to_b: std::collections::VecDeque<u8>,
-    b_to_a: std::collections::VecDeque<u8>,
-}
-
-/// One end of a [`PipePair`].
-pub struct PipeEnd<'a> {
-    pair: &'a std::cell::RefCell<PipePair>,
-    is_a: bool,
-}
-
-impl PipePair {
-    /// Creates the shared state; wrap in a `RefCell` and call
-    /// [`PipePair::ends`].
-    pub fn new() -> std::cell::RefCell<PipePair> {
-        std::cell::RefCell::new(PipePair::default())
-    }
-
-    /// Borrows the two ends.
-    pub fn ends(cell: &std::cell::RefCell<PipePair>) -> (PipeEnd<'_>, PipeEnd<'_>) {
-        (
-            PipeEnd {
-                pair: cell,
-                is_a: true,
-            },
-            PipeEnd {
-                pair: cell,
-                is_a: false,
-            },
-        )
-    }
-}
-
-impl Wire for PipeEnd<'_> {
-    fn write_all(&mut self, data: &[u8]) -> Result<(), WireError> {
-        let mut p = self.pair.borrow_mut();
-        let q = if self.is_a {
-            &mut p.a_to_b
-        } else {
-            &mut p.b_to_a
-        };
-        q.extend(data);
-        Ok(())
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize, WireError> {
-        let mut p = self.pair.borrow_mut();
-        let q = if self.is_a {
-            &mut p.b_to_a
-        } else {
-            &mut p.a_to_b
-        };
-        if q.is_empty() {
-            return Err(WireError::UnexpectedEof); // pipes are synchronous in tests
-        }
-        let n = buf.len().min(q.len());
-        for b in buf.iter_mut().take(n) {
-            *b = q.pop_front().expect("length checked");
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An in-memory pipe pair, to test the `Wire` defaults without a
+    /// network.
+    #[derive(Debug, Default)]
+    struct PipePair {
+        a_to_b: std::collections::VecDeque<u8>,
+        b_to_a: std::collections::VecDeque<u8>,
+    }
+
+    /// One end of a [`PipePair`].
+    struct PipeEnd<'a> {
+        pair: &'a std::cell::RefCell<PipePair>,
+        is_a: bool,
+    }
+
+    impl PipePair {
+        /// Creates the shared state; wrap in a `RefCell` and call
+        /// [`PipePair::ends`].
+        fn new() -> std::cell::RefCell<PipePair> {
+            std::cell::RefCell::new(PipePair::default())
+        }
+
+        /// Borrows the two ends.
+        fn ends(cell: &std::cell::RefCell<PipePair>) -> (PipeEnd<'_>, PipeEnd<'_>) {
+            (
+                PipeEnd {
+                    pair: cell,
+                    is_a: true,
+                },
+                PipeEnd {
+                    pair: cell,
+                    is_a: false,
+                },
+            )
+        }
+    }
+
+    impl Wire for PipeEnd<'_> {
+        fn write_all(&mut self, data: &[u8]) -> Result<(), WireError> {
+            let mut p = self.pair.borrow_mut();
+            let q = if self.is_a {
+                &mut p.a_to_b
+            } else {
+                &mut p.b_to_a
+            };
+            q.extend(data);
+            Ok(())
+        }
+
+        fn read(&mut self, buf: &mut [u8]) -> Result<usize, WireError> {
+            let mut p = self.pair.borrow_mut();
+            let q = if self.is_a {
+                &mut p.b_to_a
+            } else {
+                &mut p.a_to_b
+            };
+            if q.is_empty() {
+                return Err(WireError::UnexpectedEof); // pipes are synchronous in tests
+            }
+            let n = buf.len().min(q.len());
+            for b in buf.iter_mut().take(n) {
+                *b = q.pop_front().expect("length checked");
+            }
+            Ok(n)
+        }
+    }
 
     #[test]
     fn pipe_moves_bytes_between_ends() {

@@ -9,9 +9,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crypto::Prng;
-use issl::record::{read_record, write_record, RecordError, RecordType, MAX_RECORD};
-use issl::wire::{PipePair, Wire, WireError};
-use issl::{CipherSuite, ClientConfig, ClientKx, IsslError, ServerConfig, ServerKx, Session};
+use issl::record::{RecordError, MAX_RECORD};
+use issl::wire::{Wire, WireError};
+use issl::{
+    CipherSuite, ClientConfig, ClientKx, IsslError, ServerConfig, ServerKx, Session,
+    SessionMachine,
+};
 
 // ---------------------------------------------------------------------
 // a blocking in-memory wire so both handshake halves can run on threads
@@ -195,32 +198,44 @@ fn sessions_with_different_psks_fail_cleanly() {
 // record-layer fuzz: malformed frames never panic
 // ---------------------------------------------------------------------
 
+/// A pre-shared-key server machine: the record framer every profile runs.
+fn record_server() -> SessionMachine {
+    let config = ServerConfig {
+        suites: vec![CipherSuite::AES128],
+        kx: ServerKx::PreShared(b"framing".to_vec()),
+    };
+    SessionMachine::server(config, Prng::new(0xF00D))
+}
+
 #[test]
 fn truncated_records_error_cleanly() {
-    // A full record followed by a truncated one.
-    let cell = PipePair::new();
-    let (mut a, mut b) = PipePair::ends(&cell);
-    write_record(&mut a, RecordType::Data, b"complete").unwrap();
-    a.write_all(&[5, 0x10]).unwrap(); // data record claiming 0x10xx bytes, cut off
-    assert_eq!(read_record(&mut b).unwrap().body, b"complete");
-    assert!(matches!(
-        read_record(&mut b),
-        Err(RecordError::Wire(WireError::UnexpectedEof)) | Err(RecordError::TooLong(_))
-    ));
+    // A full record (a client's hello) followed by a truncated one: a
+    // data record header claiming 0x10xx bytes, cut off by EOF.
+    let config = ClientConfig {
+        suite: CipherSuite::AES128,
+        kx: ClientKx::PreShared(b"framing".to_vec()),
+    };
+    let mut bytes = SessionMachine::client(config, Prng::new(1)).take_output();
+    bytes.extend_from_slice(&[5, 0x10]);
+    let mut server = record_server();
+    server.feed(&bytes).expect("the complete record is accepted");
+    assert!(server.has_output(), "the hello was answered");
+    server.feed_eof();
+    assert_eq!(
+        server.error(),
+        Some(&IsslError::Record(RecordError::Wire(WireError::UnexpectedEof)))
+    );
 }
 
 #[test]
 fn oversized_length_field_is_rejected() {
-    let cell = PipePair::new();
-    let (mut a, mut b) = PipePair::ends(&cell);
     let len = (MAX_RECORD + 1) as u16;
     let mut frame = vec![5u8];
     frame.extend_from_slice(&len.to_be_bytes());
     frame.extend(std::iter::repeat_n(0u8, 16));
-    a.write_all(&frame).unwrap();
     assert_eq!(
-        read_record(&mut b),
-        Err(RecordError::TooLong(MAX_RECORD + 1))
+        record_server().feed(&frame),
+        Err(IsslError::Record(RecordError::TooLong(MAX_RECORD + 1)))
     );
 }
 
@@ -231,12 +246,13 @@ fn random_garbage_never_panics_the_record_layer() {
         let len = (prng.next_u64() % 64) as usize + 1;
         let mut junk = vec![0u8; len];
         prng.fill(&mut junk);
-        let cell = PipePair::new();
-        let (mut a, mut b) = PipePair::ends(&cell);
-        a.write_all(&junk).unwrap();
-        // Any outcome is fine except a panic or an impossible success of
-        // more bytes than were supplied.
-        let _ = read_record(&mut b);
+        let mut server = record_server();
+        let _ = server.feed(&junk);
+        server.feed_eof();
+        // Never a panic, and garbage followed by EOF never completes a
+        // handshake: the machine always ends with an error.
+        assert!(server.error().is_some(), "{junk:02x?}");
+        assert!(!server.is_established());
     }
 }
 

@@ -19,8 +19,8 @@ use sockets::Net;
 #[test]
 fn secure_exchange_survives_a_lossy_link() {
     let net = Net::new(0x105);
-    let server = net.add_host("server", Ipv4::new(10, 0, 0, 1));
-    let client = net.add_host("client", Ipv4::new(10, 0, 0, 2));
+    let server = net.add_host(Ipv4::new(10, 0, 0, 1));
+    let client = net.add_host(Ipv4::new(10, 0, 0, 2));
     net.link(server, client, LinkParams::lan_100m().with_drop_rate(0.08));
 
     let mut rng = StdRng::seed_from_u64(3);

@@ -100,7 +100,7 @@ fn host_profile_supports_large_suites() {
 fn redirector_forwards_to_backend() {
     let (net, server, client) = standard_rig(43);
     // Backend echo lives on a third host behind the server.
-    let backend_host = net.add_host("backend", netsim::Ipv4::new(10, 0, 0, 3));
+    let backend_host = net.add_host(netsim::Ipv4::new(10, 0, 0, 3));
     net.link(server, backend_host, netsim::LinkParams::lan_100m());
 
     let fs = Filesystem::new();

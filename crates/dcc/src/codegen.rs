@@ -122,18 +122,10 @@ pub const BUILTINS: &[&str] = &[
     "idle",
 ];
 
-/// Compiles a parsed program to assembly text.
-///
-/// # Errors
-///
-/// [`CompileError`] on semantic errors (undefined names, bad calls).
-pub fn compile_program(prog: &Program, opts: Options) -> Result<String, CompileError> {
-    compile_program_vectors(prog, opts, &[])
-}
-
-/// As [`compile_program`], but additionally emits an interrupt-vector
-/// stub (`org <addr>; jp _<name>`) for each `(addr, name)` pair. Each
-/// named function must exist and be declared `interrupt`.
+/// Compiles a parsed program to assembly text, emitting an
+/// interrupt-vector stub (`org <addr>; jp _<name>`) for each
+/// `(addr, name)` pair. Each named function must exist and be declared
+/// `interrupt`.
 ///
 /// # Errors
 ///

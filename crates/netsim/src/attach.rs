@@ -35,14 +35,10 @@ pub struct SimHost {
 }
 
 impl SimHost {
-    /// Wraps an existing host of `world`.
-    pub fn new(world: Rc<RefCell<World>>, host: HostId) -> SimHost {
-        SimHost { world, host }
-    }
-
-    /// Adds a new host to `world` and returns its handle.
-    pub fn attach(world: &Rc<RefCell<World>>, name: &str, ip: Ipv4) -> SimHost {
-        let host = world.borrow_mut().add_host(name, ip);
+    /// Adds a new host to `world` and returns its handle. The world keeps
+    /// no host names; `_name` only labels the call site.
+    pub fn attach(world: &Rc<RefCell<World>>, _name: &str, ip: Ipv4) -> SimHost {
+        let host = world.borrow_mut().add_host(ip);
         SimHost {
             world: Rc::clone(world),
             host,

@@ -18,8 +18,8 @@
 //! use netsim::{Endpoint, Ipv4, LinkParams, Recv, World};
 //!
 //! let mut w = World::new(42);
-//! let server = w.add_host("server", Ipv4::new(10, 0, 0, 1));
-//! let client = w.add_host("client", Ipv4::new(10, 0, 0, 2));
+//! let server = w.add_host(Ipv4::new(10, 0, 0, 1));
+//! let client = w.add_host(Ipv4::new(10, 0, 0, 2));
 //! w.link(server, client, LinkParams::ethernet_10base_t());
 //!
 //! let listener = w.tcp_listen(server, 7, 4).unwrap();

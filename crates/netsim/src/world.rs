@@ -409,9 +409,8 @@ impl World {
         self.now
     }
 
-    /// Adds a host with the given address. The name only labels the call
-    /// site; the world addresses hosts by [`HostId`] and keeps no names.
-    pub fn add_host(&mut self, _name: &str, ip: Ipv4) -> HostId {
+    /// Adds a host with the given address.
+    pub fn add_host(&mut self, ip: Ipv4) -> HostId {
         let id = HostId(self.hosts.len());
         self.hosts.push(Host {
             ip,

@@ -15,8 +15,8 @@ proptest! {
         chunk in 1usize..5_000,
     ) {
         let mut w = World::new(seed);
-        let a = w.add_host("a", Ipv4::new(10, 0, 0, 1));
-        let b = w.add_host("b", Ipv4::new(10, 0, 0, 2));
+        let a = w.add_host(Ipv4::new(10, 0, 0, 1));
+        let b = w.add_host(Ipv4::new(10, 0, 0, 2));
         w.link(
             a,
             b,

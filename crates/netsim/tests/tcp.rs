@@ -7,8 +7,8 @@ const CLIENT_IP: Ipv4 = Ipv4(0x0A00_0002);
 
 fn world(params: LinkParams) -> (World, netsim::HostId, netsim::HostId) {
     let mut w = World::new(7);
-    let server = w.add_host("server", SERVER_IP);
-    let client = w.add_host("client", CLIENT_IP);
+    let server = w.add_host(SERVER_IP);
+    let client = w.add_host(CLIENT_IP);
     w.link(server, client, params);
     (w, server, client)
 }
@@ -228,7 +228,7 @@ fn listen_twice_on_same_port_fails() {
 #[test]
 fn loopback_connections_work() {
     let mut w = World::new(1);
-    let host = w.add_host("lonely", Ipv4::new(127, 0, 0, 1));
+    let host = w.add_host(Ipv4::new(127, 0, 0, 1));
     let listener = w.tcp_listen(host, 80, 4).unwrap();
     let c = w.tcp_connect(host, Endpoint::new(Ipv4::new(127, 0, 0, 1), 80));
     assert!(w.run_until(|w| w.tcp_pending(listener) > 0, 100_000));

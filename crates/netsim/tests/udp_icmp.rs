@@ -4,8 +4,8 @@ use netsim::{Endpoint, Ipv4, LinkParams, NetError, World};
 
 fn rig() -> (World, netsim::HostId, netsim::HostId) {
     let mut w = World::new(3);
-    let a = w.add_host("a", Ipv4::new(10, 0, 0, 1));
-    let b = w.add_host("b", Ipv4::new(10, 0, 0, 2));
+    let a = w.add_host(Ipv4::new(10, 0, 0, 1));
+    let b = w.add_host(Ipv4::new(10, 0, 0, 2));
     w.link(a, b, LinkParams::ethernet_10base_t());
     (w, a, b)
 }

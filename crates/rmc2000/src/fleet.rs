@@ -60,8 +60,7 @@ use crate::nic::{
     Nic, NicCounters, NicPort, PortCmd, PortConn, CYCLES_PER_US, FRAME_MAX, POLL_PERIOD_US,
 };
 use crate::secure::{
-    build_secure_firmware, client_states, step_client, ClientOutcome, ConnCounters, GuestClient,
-    SECURE_PORT,
+    build_secure_firmware, ClientOutcome, ConnCounters, FleetClient, GuestClient, SECURE_PORT,
 };
 use crate::serve::{build_serve_firmware, SERIAL_PROBE, SERVE_PORT};
 
@@ -778,7 +777,6 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
     lb.set_max_inflight(Some(MAX_CONNS));
     lb.set_retry_after_us(spec.lb_retry_after_us);
     lb.set_stall_timeout_us(spec.lb_stall_timeout_us);
-    let lb_ip = lb.host().ip();
     let mut board_links: Vec<LinkId> = Vec::with_capacity(spec.boards);
     for i in 0..spec.boards {
         let link = if spec.dead_links.contains(&i) {
@@ -791,16 +789,22 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         lb.add_backend(Endpoint::new(fleet.ip(i), port));
     }
 
-    let mut hosts: Vec<SimHost> = client_ips
+    // Clients dial the balancer's front address at their scheduled
+    // times (everyone immediately, in the legacy no-dials shape).
+    let mut clients: Vec<FleetClient> = client_ips
         .iter()
-        .map(|&ip| {
+        .zip(&spec.clients)
+        .enumerate()
+        .map(|(i, (&ip, client))| {
             let host = SimHost::attach(&world, "client", ip);
             world
                 .borrow_mut()
                 .link(lb.host().id(), host.id(), LinkParams::ethernet_10base_t());
-            host
+            let dial_at = spec.dials.get(i).copied().unwrap_or(0);
+            FleetClient::new(i, client, host, dial_at)
         })
         .collect();
+    let server = Endpoint::new(lb.host().ip(), port);
 
     let identity: Vec<usize> = (0..spec.boards).collect();
     let order_at = |e: u64| visit_order(&spec.orders, &identity, e);
@@ -820,31 +824,21 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         assert!(boot_epochs < 2_000, "fleet firmware boots");
     }
 
-    // Clients dial the balancer's front address at their scheduled
-    // times (everyone immediately, in the legacy no-dials shape).
-    let dial_at: Vec<u64> = if spec.dials.is_empty() {
-        vec![0; spec.clients.len()]
-    } else {
-        spec.dials.clone()
-    };
-    let mut conns: Vec<Option<SocketId>> = vec![None; spec.clients.len()];
-    let mut state = client_states(&spec.clients);
-
     const MAX_EPOCHS: u64 = 4_000_000; // 200 virtual seconds
     const FF_CHUNK: u64 = 200; // 10ms of skipped idle per decision
 
     let mut next_probe: Vec<u64> = vec![spec.probe_gap_us.unwrap_or(0); spec.boards];
+    // The earliest dial time of a client that has not dialed yet: the
+    // client list is walked for dials only when one is due.
+    let mut next_dial = 0;
 
     loop {
-        {
-            let now = world.borrow().now();
-            for (i, conn) in conns.iter_mut().enumerate() {
-                if conn.is_none() && now >= dial_at[i] {
-                    *conn = Some(hosts[i].connect(Endpoint::new(lb_ip, port)));
-                }
-            }
+        let now = world.borrow().now();
+        if now >= next_dial {
+            let pending = clients.iter_mut().filter_map(|c| c.dial_if_due(now, server));
+            next_dial = pending.min().unwrap_or(u64::MAX);
         }
-        if state.iter().all(|s| s.done) {
+        if clients.iter().all(|c| c.done) {
             break;
         }
         assert!(
@@ -874,12 +868,8 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
             }
         }
 
-        for ((host, conn), st) in hosts.iter_mut().zip(&conns).zip(state.iter_mut()) {
-            if let Some(conn) = conn {
-                if !st.done {
-                    step_client(host, *conn, st);
-                }
-            }
+        for c in clients.iter_mut().filter(|c| c.is_live()) {
+            c.step();
         }
 
         // Fleet-wide idle skip, held short of the next probe due-time,
@@ -895,11 +885,7 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
             if let Some(t) = faults.next_due_us() {
                 soonest = soonest.min(t);
             }
-            for (i, conn) in conns.iter().enumerate() {
-                if conn.is_none() {
-                    soonest = soonest.min(dial_at[i]);
-                }
-            }
+            soonest = soonest.min(next_dial);
             if soonest != u64::MAX {
                 bound = if soonest > now {
                     bound.min((soonest - now) / EPOCH_US)
@@ -998,11 +984,12 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
 
     let snapshot = world.borrow().telemetry().snapshot().to_text();
     let virtual_us = world.borrow().now();
-    let echoed_bytes = state.iter().map(|s| s.out.echoed.len() as u64).sum();
+    let outcomes: Vec<ClientOutcome> = clients.into_iter().map(FleetClient::into_outcome).collect();
+    let echoed_bytes = outcomes.iter().map(|o| o.echoed.len() as u64).sum();
     faults.report.corrupted_frames = world.borrow().stats.corrupted.get();
     faults.report.failover_latencies_us = lb.failover_latencies_us().to_vec();
     FleetRun {
-        outcomes: state.into_iter().map(|s| s.out).collect(),
+        outcomes,
         boards: reports,
         backends: lb.backend_stats(),
         epochs: fleet.epochs(),

@@ -24,8 +24,8 @@
 
 use crypto::Prng;
 use issl::recmap;
-use issl::{CipherSuite, ClientConfig, ClientKx, SessionMachine};
-use netsim::{Recv, SimHost, SocketId};
+use issl::{CipherSuite, ClientConfig, ClientKx, EchoClient};
+use netsim::{Endpoint, Recv, SimHost, SocketId};
 use rabbit::nicmap::{
     MAX_CONNS, STATUS_ACCEPT_READY, STATUS_ERR, STATUS_PEER_CLOSED, STATUS_RX_AVAIL,
     STATUS_TX_READY,
@@ -718,9 +718,9 @@ pub enum Tamper {
 /// One host-side client in a [`crate::fleet_serve`] run.
 #[derive(Debug, Clone)]
 pub enum GuestClient {
-    /// A sans-I/O `issl` client machine doing the full PSK handshake and
-    /// echoing `messages` through the secure channel. A `psk` different
-    /// from the board's models the wrong-credential case.
+    /// An [`issl::EchoClient`] doing the full PSK handshake and echoing
+    /// `messages` through the secure channel. A `psk` different from the
+    /// board's models the wrong-credential case.
     Secure {
         messages: Vec<Vec<u8>>,
         psk: Vec<u8>,
@@ -788,39 +788,40 @@ pub struct ConnCounters {
 /// bad-Finished alert (wrong credential).
 pub const ALERT_KIND_LABELS: [&str; 3] = ["close", "suite", "finished"];
 
-pub(crate) enum Mode {
+enum Mode {
     Secure {
-        machine: Box<SessionMachine>,
+        echo: Box<EchoClient>,
         tamper: Tamper,
         tampered: bool,
-        next_msg: usize,
-        sent: usize,
-        closing: bool,
         closed: bool,
     },
     Plain {
+        msgs: Vec<Vec<u8>>,
+        expected: usize,
         next_msg: usize,
         sent: usize,
         closed: bool,
     },
+    /// A `Raw` client, or with `hang_up` a `HangUp` one.
     Raw {
         payload: Vec<u8>,
+        hang_up: bool,
         sent: bool,
         closed: bool,
     },
-    HangUp {
-        payload: Vec<u8>,
-        sent: bool,
-    },
 }
 
-pub(crate) struct Cs {
-    pub(crate) mode: Mode,
-    pub(crate) msgs: Vec<Vec<u8>>,
-    pub(crate) expected: usize,
-    pub(crate) out: ClientOutcome,
-    pub(crate) fin: bool,
-    pub(crate) reset: bool,
+/// One host-side client of a [`crate::fleet_serve`] run: its host, its
+/// dial time, its socket once dialed, and what it has done so far.
+pub(crate) struct FleetClient {
+    host: SimHost,
+    dial_at: u64,
+    conn: Option<SocketId>,
+    mode: Mode,
+    out: ClientOutcome,
+    fin: bool,
+    reset: bool,
+    /// The client has finished, successfully or not.
     pub(crate) done: bool,
 }
 
@@ -830,257 +831,243 @@ fn record_complete(rx: &[u8]) -> bool {
         && rx.len() >= recmap::HEADER_LEN + usize::from(u16::from_be_bytes([rx[1], rx[2]]))
 }
 
-pub(crate) fn step_client(host: &mut SimHost, conn: SocketId, st: &mut Cs) {
-    // Drain the TCP receive buffer first; probe for the guest's FIN when
-    // it is empty.
-    let avail = host.available(conn);
-    if avail > 0 {
-        let mut buf = vec![0u8; avail];
-        if let Recv::Data(n) = host.recv(conn, &mut buf) {
-            buf.truncate(n);
-            st.out.raw_rx.extend_from_slice(&buf);
-            match &mut st.mode {
-                Mode::Secure { machine, .. } => {
-                    if machine.error().is_none() {
-                        if let Err(e) = machine.feed(&buf) {
-                            st.out.error = Some(format!("{e:?}"));
-                        }
-                    }
+impl FleetClient {
+    /// Client `i` of a run, on `host`, dialing at `dial_at`. The PRNG
+    /// seed depends only on the client index, so the same workload
+    /// produces the same ClientHello bytes in every run.
+    pub(crate) fn new(i: usize, client: &GuestClient, host: SimHost, dial_at: u64) -> FleetClient {
+        let mode = match client {
+            GuestClient::Secure {
+                messages,
+                psk,
+                tamper,
+            } => {
+                let config = ClientConfig {
+                    suite: CipherSuite::AES128,
+                    kx: ClientKx::PreShared(psk.clone()),
+                };
+                let prng = Prng::new(0xC0DE + i as u64);
+                Mode::Secure {
+                    echo: Box::new(EchoClient::new(config, prng, messages.clone())),
+                    tamper: *tamper,
+                    tampered: false,
+                    closed: false,
                 }
-                Mode::Plain { .. } => st.out.echoed.extend_from_slice(&buf),
-                Mode::Raw { .. } | Mode::HangUp { .. } => {}
             }
-        }
-    } else {
-        match host.recv(conn, &mut [0u8; 1]) {
-            Recv::Closed => st.fin = true,
-            Recv::Reset => {
-                st.fin = true;
-                st.reset = true;
-            }
-            _ => {}
+            GuestClient::Plain { messages } => Mode::Plain {
+                msgs: messages.clone(),
+                expected: messages.iter().map(Vec::len).sum(),
+                next_msg: 0,
+                sent: 0,
+                closed: false,
+            },
+            GuestClient::Raw { payload } | GuestClient::HangUp { payload } => Mode::Raw {
+                payload: payload.clone(),
+                hang_up: matches!(client, GuestClient::HangUp { .. }),
+                sent: false,
+                closed: false,
+            },
+        };
+        FleetClient {
+            host,
+            dial_at,
+            conn: None,
+            mode,
+            out: ClientOutcome::default(),
+            fin: false,
+            reset: false,
+            done: false,
         }
     }
 
-    match &mut st.mode {
-        Mode::Secure {
-            machine,
-            tamper,
-            tampered,
-            next_msg,
-            sent,
-            closing,
-            closed,
-        } => {
-            if let Some(e) = machine.error() {
-                if st.out.error.is_none() {
-                    st.out.error = Some(format!("{e:?}"));
+    /// Dials `server` if the client has not yet and its time has come.
+    /// Returns the dial time of a client still waiting to dial.
+    pub(crate) fn dial_if_due(&mut self, now: u64, server: Endpoint) -> Option<u64> {
+        if self.conn.is_none() && now >= self.dial_at {
+            self.conn = Some(self.host.connect(server));
+        }
+        self.conn.is_none().then_some(self.dial_at)
+    }
+
+    /// Whether the client has dialed and is not done: only a live client
+    /// has anything to step.
+    pub(crate) fn is_live(&self) -> bool {
+        self.conn.is_some() && !self.done
+    }
+
+    /// What the client observed over its connection.
+    pub(crate) fn into_outcome(self) -> ClientOutcome {
+        let mut out = self.out;
+        if let Mode::Secure { echo, .. } = self.mode {
+            out.echoed = echo.echoed().to_vec();
+        }
+        out
+    }
+
+    /// One epoch of a live client: receive, advance, send, close.
+    pub(crate) fn step(&mut self) {
+        let Some(conn) = self.conn.filter(|_| !self.done) else {
+            return;
+        };
+        let host = &mut self.host;
+        let st = &mut self.out;
+        // Drain the TCP receive buffer first; probe for the guest's FIN
+        // when it is empty.
+        let avail = host.available(conn);
+        if avail > 0 {
+            let mut buf = vec![0u8; avail];
+            if let Recv::Data(n) = host.recv(conn, &mut buf) {
+                buf.truncate(n);
+                st.raw_rx.extend_from_slice(&buf);
+                match &mut self.mode {
+                    Mode::Secure { echo, .. } => {
+                        // A failed feed leaves the sticky error, read below.
+                        let _ = echo.feed(&buf);
+                    }
+                    Mode::Plain { .. } => st.echoed.extend_from_slice(&buf),
+                    Mode::Raw { .. } => {}
                 }
             }
-            st.out.established |= machine.is_established();
-            st.out.peer_closed |= machine.is_peer_closed();
-            let pt = machine.take_plaintext();
-            if !pt.is_empty() {
-                st.out.echoed.extend_from_slice(&pt);
+        } else {
+            match host.recv(conn, &mut [0u8; 1]) {
+                Recv::Closed => self.fin = true,
+                Recv::Reset => {
+                    self.fin = true;
+                    self.reset = true;
+                }
+                _ => {}
             }
+        }
+        let (fin, reset) = (self.fin, self.reset);
+        // A FIN/RST before the session ran its course (the balancer
+        // aborted a stalled session, or the backend died) ends the client
+        // with this error.
+        let early_close = || Some(if reset { "Reset" } else { "EarlyClose" }.to_string());
 
-            let healthy =
-                machine.is_established() && st.out.error.is_none() && !machine.is_peer_closed();
-            if healthy && *tamper == Tamper::TruncateAfterHeader {
-                if !*tampered {
-                    // A data-record header promising one byte, then FIN.
-                    host.send(conn, &[recmap::REC_DATA, 0, 1]);
+        self.done = match &mut self.mode {
+            Mode::Secure {
+                echo,
+                tamper,
+                tampered,
+                closed,
+            } => {
+                if let Some(e) = echo.error() {
+                    st.error.get_or_insert_with(|| format!("{e:?}"));
+                }
+                st.established |= echo.is_established();
+                st.peer_closed |= echo.is_peer_closed();
+                let healthy = echo.is_established() && st.error.is_none() && !echo.is_peer_closed();
+                if *tamper == Tamper::TruncateAfterHeader {
+                    // In place of the first message: a data-record header
+                    // promising one byte, then FIN.
+                    if healthy && !*tampered {
+                        host.send(conn, &[recmap::REC_DATA, 0, 1]);
+                        host.close(conn);
+                        *tampered = true;
+                        *closed = true;
+                    }
+                } else {
+                    // A failed write stalls the schedule; the session then
+                    // ends by the guest's hand or the balancer's.
+                    let _ = echo.step();
+                }
+
+                // Flush queued records (the ClientHello is queued before
+                // the TCP handshake even completes).
+                if echo.has_output() && !*closed && host.established(conn) {
+                    let mut out = echo.take_output();
+                    if *tamper == Tamper::FlipDataMac
+                        && !*tampered
+                        && out.first() == Some(&recmap::REC_DATA)
+                    {
+                        if let Some(last) = out.last_mut() {
+                            *last ^= 0x01;
+                        }
+                        *tampered = true;
+                    }
+                    let n = host.send(conn, &out);
+                    assert_eq!(n, out.len(), "client send fits the TCP buffer");
+                }
+
+                if echo.is_closing() && !*closed && !echo.has_output() {
                     host.close(conn);
-                    *tampered = true;
                     *closed = true;
                 }
-            } else if healthy {
-                if *next_msg < st.msgs.len() && st.out.echoed.len() == *sent {
-                    let msg = st.msgs[*next_msg].clone();
-                    if machine.write(&msg).is_ok() {
-                        *sent += msg.len();
+
+                // A clean run sets `closed` or `peer_closed` before the
+                // FIN is ever observed.
+                if fin && !*closed && !st.peer_closed && st.error.is_none() {
+                    st.error = early_close();
+                }
+                match tamper {
+                    Tamper::None => *closed || st.error.is_some() || st.peer_closed || fin,
+                    Tamper::FlipDataMac => {
+                        *tampered && (st.peer_closed || st.error.is_some() || fin)
                     }
-                    *next_msg += 1;
-                } else if *tamper == Tamper::None
-                    && !*closing
-                    && *next_msg == st.msgs.len()
-                    && st.out.echoed.len() == st.expected
-                {
-                    let _ = machine.close();
-                    *closing = true;
+                    Tamper::TruncateAfterHeader => *tampered && (st.peer_closed || fin),
                 }
             }
-
-            // Flush queued records (the ClientHello is queued before the
-            // TCP handshake even completes).
-            if machine.has_output() && !*closed && host.established(conn) {
-                let mut out = machine.take_output();
-                if *tamper == Tamper::FlipDataMac
-                    && !*tampered
-                    && out.first() == Some(&recmap::REC_DATA)
-                {
-                    if let Some(last) = out.last_mut() {
-                        *last ^= 0x01;
-                    }
-                    *tampered = true;
-                }
-                let n = host.send(conn, &out);
-                assert_eq!(n, out.len(), "client send fits the TCP buffer");
-            }
-
-            if *closing && !*closed && !machine.has_output() {
-                host.close(conn);
-                *closed = true;
-            }
-
-            // A FIN/RST before the session ran its course (the balancer
-            // aborted a stalled session, or the backend died) terminates
-            // the client with a recorded error; a clean run sets `closed`
-            // or `peer_closed` before the FIN is ever observed.
-            if st.fin && !*closed && !st.out.peer_closed && st.out.error.is_none() {
-                st.out.error = Some(if st.reset { "Reset" } else { "EarlyClose" }.to_string());
-            }
-            st.done = match tamper {
-                Tamper::None => {
-                    *closed || st.out.error.is_some() || st.out.peer_closed || st.fin
-                }
-                Tamper::FlipDataMac => {
-                    *tampered && (st.out.peer_closed || st.out.error.is_some() || st.fin)
-                }
-                Tamper::TruncateAfterHeader => *tampered && (st.out.peer_closed || st.fin),
-            };
-        }
-        Mode::Plain {
-            next_msg,
-            sent,
-            closed,
-        } => {
-            st.out.established |= host.established(conn);
-            if *next_msg < st.msgs.len() && st.out.echoed.len() == *sent && host.established(conn)
-            {
-                let msg = &st.msgs[*next_msg];
-                assert_eq!(host.send(conn, msg), msg.len(), "client send fits");
-                *sent += msg.len();
-                *next_msg += 1;
-            }
-            if st.out.echoed.len() == st.expected && !*closed {
-                host.close(conn);
-                *closed = true;
-            }
-            if st.fin && !*closed {
-                // The echo never completed and the server side is gone
-                // (stall abort or backend death): stop, with the cause.
-                if st.out.error.is_none() {
-                    st.out.error =
-                        Some(if st.reset { "Reset" } else { "EarlyClose" }.to_string());
-                }
-                st.done = true;
-            } else {
-                st.done = *closed;
-            }
-        }
-        Mode::Raw {
-            payload,
-            sent,
-            closed,
-        } => {
-            st.out.established |= host.established(conn);
-            if !*sent && host.established(conn) {
-                let n = host.send(conn, payload);
-                assert_eq!(n, payload.len(), "raw send fits");
-                *sent = true;
-            }
-            st.done = *sent && (record_complete(&st.out.raw_rx) || st.fin);
-            if st.done && !*closed {
-                host.close(conn);
-                *closed = true;
-            }
-        }
-        Mode::HangUp { payload, sent } => {
-            st.out.established |= host.established(conn);
-            if !*sent && host.established(conn) {
-                let n = host.send(conn, payload);
-                assert_eq!(n, payload.len(), "hang-up send fits");
-                *sent = true;
-                // Disconnect mid-exchange: FIN right behind the payload.
-                host.close(conn);
-            }
-            st.done = *sent && st.fin;
-        }
-    }
-
-    if st.done {
-        host.close(conn); // idempotent
-    }
-}
-
-/// Builds the per-client driver state for `clients`, in order. The PRNG
-/// seed depends only on the client index, so the same workload produces
-/// the same ClientHello bytes in every run.
-pub(crate) fn client_states(clients: &[GuestClient]) -> Vec<Cs> {
-    clients
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let (mode, msgs) = match c {
-                GuestClient::Secure {
-                    messages,
-                    psk,
-                    tamper,
-                } => {
-                    let config = ClientConfig {
-                        suite: CipherSuite::AES128,
-                        kx: ClientKx::PreShared(psk.clone()),
-                    };
-                    let machine = SessionMachine::client(config, Prng::new(0xC0DE + i as u64));
-                    (
-                        Mode::Secure {
-                            machine: Box::new(machine),
-                            tamper: *tamper,
-                            tampered: false,
-                            next_msg: 0,
-                            sent: 0,
-                            closing: false,
-                            closed: false,
-                        },
-                        messages.clone(),
-                    )
-                }
-                GuestClient::Plain { messages } => (
-                    Mode::Plain {
-                        next_msg: 0,
-                        sent: 0,
-                        closed: false,
-                    },
-                    messages.clone(),
-                ),
-                GuestClient::Raw { payload } => (
-                    Mode::Raw {
-                        payload: payload.clone(),
-                        sent: false,
-                        closed: false,
-                    },
-                    Vec::new(),
-                ),
-                GuestClient::HangUp { payload } => (
-                    Mode::HangUp {
-                        payload: payload.clone(),
-                        sent: false,
-                    },
-                    Vec::new(),
-                ),
-            };
-            Cs {
-                expected: msgs.iter().map(Vec::len).sum(),
-                mode,
+            Mode::Plain {
                 msgs,
-                out: ClientOutcome::default(),
-                fin: false,
-                reset: false,
-                done: false,
+                expected,
+                next_msg,
+                sent,
+                closed,
+            } => {
+                st.established |= host.established(conn);
+                if *next_msg < msgs.len() && st.echoed.len() == *sent && host.established(conn) {
+                    let msg = &msgs[*next_msg];
+                    assert_eq!(host.send(conn, msg), msg.len(), "client send fits");
+                    *sent += msg.len();
+                    *next_msg += 1;
+                }
+                if st.echoed.len() == *expected && !*closed {
+                    host.close(conn);
+                    *closed = true;
+                }
+                if fin && !*closed {
+                    // The echo never completed and the server side is
+                    // gone (stall abort or backend death): stop, with the
+                    // cause.
+                    if st.error.is_none() {
+                        st.error = early_close();
+                    }
+                    true
+                } else {
+                    *closed
+                }
             }
-        })
-        .collect()
+            Mode::Raw {
+                payload,
+                hang_up,
+                sent,
+                closed,
+            } => {
+                st.established |= host.established(conn);
+                if !*sent && host.established(conn) {
+                    let n = host.send(conn, payload);
+                    assert_eq!(n, payload.len(), "raw send fits");
+                    *sent = true;
+                    if *hang_up {
+                        // Disconnect mid-exchange: FIN right behind the
+                        // payload.
+                        host.close(conn);
+                        *closed = true;
+                    }
+                }
+                let done = *sent && (fin || (!*hang_up && record_complete(&st.raw_rx)));
+                if done && !*closed {
+                    host.close(conn);
+                    *closed = true;
+                }
+                done
+            }
+        };
+
+        if self.done {
+            host.close(conn); // idempotent
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn socket_rejects_non_inet_stream() {
         let net = Net::new(1);
-        let h = net.add_host("h", Ipv4::new(1, 1, 1, 1));
+        let h = net.add_host(Ipv4::new(1, 1, 1, 1));
         let mut p = UnixProcess::new(&net, h);
         assert_eq!(p.socket(99, SOCK_STREAM, 0), Err(Errno::Einval));
         assert_eq!(p.socket(AF_INET, 99, 0), Err(Errno::Einval));
@@ -473,7 +473,7 @@ mod tests {
     #[test]
     fn bind_requires_fresh_socket() {
         let net = Net::new(1);
-        let h = net.add_host("h", Ipv4::new(1, 1, 1, 1));
+        let h = net.add_host(Ipv4::new(1, 1, 1, 1));
         let mut p = UnixProcess::new(&net, h);
         let fd = p.socket(AF_INET, SOCK_STREAM, 0).unwrap();
         let addr = SockAddrIn::new(Ipv4::ANY, 80);
@@ -484,8 +484,8 @@ mod tests {
     #[test]
     fn echo_over_bsd_api_single_thread() {
         let net = Net::new(5);
-        let sh = net.add_host("server", Ipv4::new(10, 0, 0, 1));
-        let ch = net.add_host("client", Ipv4::new(10, 0, 0, 2));
+        let sh = net.add_host(Ipv4::new(10, 0, 0, 1));
+        let ch = net.add_host(Ipv4::new(10, 0, 0, 2));
         net.link(sh, ch, LinkParams::ethernet_10base_t());
 
         let mut server = UnixProcess::new(&net, sh);

@@ -25,8 +25,8 @@ impl Net {
     }
 
     /// Adds a host.
-    pub fn add_host(&self, name: &str, ip: Ipv4) -> HostId {
-        self.world.lock().expect("world lock").add_host(name, ip)
+    pub fn add_host(&self, ip: Ipv4) -> HostId {
+        self.world.lock().expect("world lock").add_host(ip)
     }
 
     /// Connects two hosts.
@@ -128,8 +128,8 @@ mod tests {
     #[test]
     fn pump_mode_advances_time() {
         let net = Net::new(3);
-        let a = net.add_host("a", Ipv4::new(10, 0, 0, 1));
-        let b = net.add_host("b", Ipv4::new(10, 0, 0, 2));
+        let a = net.add_host(Ipv4::new(10, 0, 0, 1));
+        let b = net.add_host(Ipv4::new(10, 0, 0, 2));
         net.link(a, b, LinkParams::ethernet_10base_t());
         let listener = net.with(|w| w.tcp_listen(a, 80, 4)).unwrap();
         let c = net.with(|w| w.tcp_connect(b, Endpoint::new(Ipv4::new(10, 0, 0, 1), 80)));

@@ -13,8 +13,8 @@ const PORT: u16 = 7;
 
 fn rig() -> (Net, netsim::HostId, netsim::HostId) {
     let net = Net::new(11);
-    let s = net.add_host("server", SERVER_IP);
-    let c = net.add_host("client", CLIENT_IP);
+    let s = net.add_host(SERVER_IP);
+    let c = net.add_host(CLIENT_IP);
     net.link(s, c, LinkParams::ethernet_10base_t());
     (net, s, c)
 }

@@ -13,8 +13,8 @@ const PORT: u16 = 4433;
 
 fn rig() -> (Net, netsim::HostId, netsim::HostId) {
     let net = Net::new(23);
-    let s = net.add_host("server", SERVER_IP);
-    let c = net.add_host("client", CLIENT_IP);
+    let s = net.add_host(SERVER_IP);
+    let c = net.add_host(CLIENT_IP);
     net.link(s, c, LinkParams::ethernet_10base_t());
     (net, s, c)
 }

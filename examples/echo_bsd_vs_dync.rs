@@ -17,8 +17,8 @@ const SERVER_IP: Ipv4 = Ipv4(0x0A00_0001);
 
 fn rig() -> (Net, netsim::HostId, netsim::HostId) {
     let net = Net::new(77);
-    let s = net.add_host("server", SERVER_IP);
-    let c = net.add_host("client", Ipv4::new(10, 0, 0, 2));
+    let s = net.add_host(SERVER_IP);
+    let c = net.add_host(Ipv4::new(10, 0, 0, 2));
     net.link(s, c, LinkParams::ethernet_10base_t());
     (net, s, c)
 }

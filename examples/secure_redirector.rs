@@ -24,7 +24,7 @@ use rsa::KeyPair;
 
 fn main() {
     let (net, front, client) = standard_rig(10);
-    let backend = net.add_host("backend", Ipv4::new(10, 0, 0, 3));
+    let backend = net.add_host(Ipv4::new(10, 0, 0, 3));
     net.link(front, backend, LinkParams::lan_100m());
 
     let fs = Filesystem::new();
