@@ -31,7 +31,14 @@
 //!   decode cap, or a *barrier*: an instruction the decoder refuses
 //!   (`ioi`/`ioe` prefixes, `ld xpc,a`, the `ldir` family, invalid
 //!   opcodes). Barriers fall back to one interpreted `step`, so the engine
-//!   never changes what executes — only how fast.
+//!   never changes what executes — only how fast. A barrier at a block's
+//!   start is cached too, as an empty block that sends the engine to the
+//!   interpreter without decoding again.
+//! * Each memory keeps its own key-to-block map, because SRAM code and
+//!   eviction are its own. A miss first asks the memory's flash image,
+//!   which keeps every block whose bytes all lie in flash for all memories
+//!   on that image, and decodes only when the image has none; flash never
+//!   changes under an image, so a shared block never goes stale.
 //! * Data accesses inside a block translate through a [`SegMap`], the
 //!   per-segment translation cache compiled from the MMU registers; the
 //!   mapping cannot change mid-block because every instruction that could
@@ -41,10 +48,11 @@
 //!   code. Any store to such a page clears the bit and records the page,
 //!   whoever makes it: a block, an interpreted step, another CPU on the
 //!   same memory, a host `write_phys`, or a [`Memory::load`] (flash
-//!   included). The engine drains the record when it enters and after
-//!   every store, evicting the blocks decoded from each recorded page, and
-//!   aborts the current block if its own pages were hit, resuming at the
-//!   next instruction. Stores to other pages, such as the stack push of an
+//!   included). The engine drains the record when it enters, after each
+//!   block and after each interpreted step, evicting the blocks decoded
+//!   from each recorded page; a block checks the record after each store
+//!   and aborts if its own pages were hit, resuming at the next
+//!   instruction. Stores to other pages, such as the stack push of an
 //!   interrupt dispatch, leave the cache alone, and runtime stores to
 //!   flash are dropped by the memory model. The only whole-cache flush is
 //!   the size cap.
@@ -61,13 +69,14 @@
 //!   a sample before every block leaves, so a bus device that batches
 //!   its ticks sees the run end at the same point either way.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use crate::cpu::{Cond, Cpu, Fault};
 use crate::io::IoSpace;
-use crate::mem::{Memory, SegMap};
+use crate::mem::{Memory, SegMap, FLASH_SIZE};
 use crate::registers::{Flags, Reg16, Reg8, Registers};
 
 /// Maximum number of straight-line instructions decoded into one block.
@@ -75,8 +84,12 @@ use crate::registers::{Flags, Reg16, Reg8, Registers};
 /// horizon; the cycle budget is exact whatever the block length.
 pub const BLOCK_CAP: usize = 32;
 
-/// Cached blocks are dropped wholesale when the cache grows past this.
+/// Cached blocks are dropped wholesale when a memory's cache, or an
+/// image's shared store, grows past this.
 const MAX_CACHED_BLOCKS: usize = 1 << 16;
+
+/// Pages below this are flash pages.
+const FLASH_PAGES: u16 = (FLASH_SIZE >> 8) as u16;
 
 const DD: [Reg16; 4] = [Reg16::Bc, Reg16::De, Reg16::Hl, Reg16::Sp];
 const QQ: [Reg16; 4] = [Reg16::Bc, Reg16::De, Reg16::Hl, Reg16::Af];
@@ -180,10 +193,10 @@ struct DecOp {
     len: u8,
 }
 
-/// A decoded straight-line run. A cached block is never empty: a barrier
-/// at the start PC is interpreted instead of cached.
+/// A decoded straight-line run. An empty block (no body, no terminator)
+/// marks a barrier at its start PC, which the engine interprets.
 #[derive(Debug)]
-struct Block {
+pub(crate) struct Block {
     body: Box<[DecOp]>,
     /// Terminating op and the logical PC following it (the fall-through
     /// target). `None` when the block ended at a barrier or the cap.
@@ -208,6 +221,11 @@ impl Block {
     fn pages(&self) -> &[u16] {
         let n = if self.pages[0] == self.pages[1] { 1 } else { 2 };
         &self.pages[..n]
+    }
+
+    /// Whether the block start is a barrier: nothing to replay.
+    fn is_barrier(&self) -> bool {
+        self.body.is_empty() && self.term.is_none()
     }
 
     /// How many body ops the interpreter would start within `budget`
@@ -616,14 +634,37 @@ fn block_key(pc: u16, cpu: &Cpu) -> u64 {
         | u64::from(cpu.regs.xpc) << 40
 }
 
+type BlockMap = HashMap<u64, Arc<Block>, BuildHasherDefault<KeyHasher>>;
+
+/// The blocks decoded from one flash image alone, shared by every memory
+/// on that image. Behind a lock so boards on one image can run on
+/// different threads.
+#[derive(Default)]
+pub(crate) struct SharedBlocks(Mutex<BlockMap>);
+
+/// Exact work counts of one memory's block cache. Plain counters, read
+/// through [`Memory::cache_stats`]; they feed no telemetry registry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Blocks decoded from memory (barriers excluded).
+    pub decodes: u64,
+    /// Decodes that found a barrier at the start PC.
+    pub barrier_decodes: u64,
+    /// Blocks and barriers entered into this memory's map.
+    pub inserts: u64,
+    /// Misses the flash image's shared store answered without a decode.
+    pub shared_hits: u64,
+}
+
 /// The block cache: blocks decoded from one [`Memory`], owned by it and
 /// reused by every [`Cpu::run_fast`] call on it.
 pub struct ExecEngine {
-    blocks: HashMap<u64, Rc<Block>, BuildHasherDefault<KeyHasher>>,
+    blocks: BlockMap,
     /// Physical page -> keys of the cached blocks decoded from it.
     page_blocks: HashMap<u16, Vec<u64>>,
     seg: SegMap,
     seg_key: Option<(u8, u8, u8, u8)>,
+    pub(crate) stats: CacheStats,
 }
 
 impl Default for ExecEngine {
@@ -633,6 +674,7 @@ impl Default for ExecEngine {
             page_blocks: HashMap::new(),
             seg: crate::mem::Mmu::new().seg_map(0),
             seg_key: None,
+            stats: CacheStats::default(),
         }
     }
 }
@@ -651,26 +693,32 @@ impl ExecEngine {
         }
     }
 
-    fn insert(&mut self, key: u64, block: &Rc<Block>, mem: &mut Memory) {
-        if self.blocks.len() >= MAX_CACHED_BLOCKS {
+    /// The block (or barrier) at `pc` under the current mapping: from
+    /// this memory's map, else from the flash image's store, else freshly
+    /// decoded.
+    fn lookup(&mut self, key: u64, pc: u16, mem: &mut Memory) -> &Block {
+        if self.blocks.len() >= MAX_CACHED_BLOCKS && !self.blocks.contains_key(&key) {
             self.blocks.clear();
             self.page_blocks.clear();
             mem.code_pages = [0; 64];
         }
+        let slot = match self.blocks.entry(key) {
+            Entry::Occupied(e) => return e.into_mut(),
+            Entry::Vacant(slot) => slot,
+        };
+        let block = fetch(&self.seg, mem, key, pc, &mut self.stats);
         for &page in block.pages() {
             mem.code_pages[usize::from(page >> 6)] |= 1 << (page & 63);
             self.page_blocks.entry(page).or_default().push(key);
         }
-        self.blocks.insert(key, Rc::clone(block));
+        self.stats.inserts += 1;
+        slot.insert(block)
     }
 
     /// Consumes `mem.dirty_pages`, evicting cached blocks decoded from any
-    /// page stored to. Returns true if `current` itself was hit (the
-    /// caller must abort replaying it).
-    fn drain_dirty(&mut self, mem: &mut Memory, current: Option<&Block>) -> bool {
-        let mut conflict = false;
+    /// page stored to.
+    fn drain_dirty(&mut self, mem: &mut Memory) {
         for page in mem.dirty_pages.drain(..) {
-            conflict |= current.is_some_and(|cur| cur.pages.contains(&page));
             for k in self.page_blocks.remove(&page).unwrap_or_default() {
                 let Some(block) = self.blocks.remove(&k) else {
                     continue;
@@ -684,8 +732,31 @@ impl ExecEngine {
                 }
             }
         }
-        conflict
     }
+}
+
+/// A block this memory has not cached: the flash image's copy, else a
+/// fresh decode, which the image keeps when both its pages are flash
+/// pages.
+fn fetch(map: &SegMap, mem: &Memory, key: u64, pc: u16, stats: &mut CacheStats) -> Arc<Block> {
+    let mut shared = mem.flash.blocks.0.lock().expect("shared block store poisoned");
+    if let Some(b) = shared.get(&key) {
+        stats.shared_hits += 1;
+        return Arc::clone(b);
+    }
+    let block = Arc::new(decode_block(map, mem, pc));
+    if block.is_barrier() {
+        stats.barrier_decodes += 1;
+    } else {
+        stats.decodes += 1;
+    }
+    if block.pages.iter().all(|&p| p < FLASH_PAGES) {
+        if shared.len() >= MAX_CACHED_BLOCKS {
+            shared.clear();
+        }
+        shared.insert(key, Arc::clone(&block));
+    }
+    block
 }
 
 impl Cpu {
@@ -710,7 +781,7 @@ impl Cpu {
     ) -> Result<u64, Fault> {
         let mut engine = mem.cache.take().unwrap_or_default();
         // Stores made since the last run, by anyone, evict their pages.
-        engine.drain_dirty(mem, None);
+        engine.drain_dirty(mem);
         let result = self.run_blocks(&mut engine, mem, io, max_cycles);
         mem.cache = Some(engine);
         result
@@ -758,26 +829,19 @@ impl Cpu {
             }
 
             engine.sync_seg(self);
+            let map = engine.seg;
             let block_pc = self.regs.pc;
-            let key = block_key(self.regs.pc, self);
-            let block = if let Some(b) = engine.blocks.get(&key) {
-                Rc::clone(b)
-            } else {
-                let b = decode_block(&engine.seg, mem, self.regs.pc);
-                if b.body.is_empty() && b.term.is_none() {
-                    // Barrier at the block start: interpret one
-                    // instruction and try again from the next PC. An
-                    // `ioi`/`ioe` prefix byte, `ld xpc,a`, the `ldir`
-                    // family and `pop ip` cannot reach the bus, so the
-                    // sample still holds.
-                    self.step_settled(engine, mem, io, &mut owed)?;
-                    stepped = true;
-                    continue;
-                }
-                let b = Rc::new(b);
-                engine.insert(key, &b, mem);
-                b
-            };
+            let key = block_key(block_pc, self);
+            let block = engine.lookup(key, block_pc, mem);
+            if block.is_barrier() {
+                // Barrier at the block start: interpret one instruction
+                // and try again from the next PC. An `ioi`/`ioe` prefix
+                // byte, `ld xpc,a`, the `ldir` family and `pop ip` cannot
+                // reach the bus, so the sample still holds.
+                self.step_settled(engine, mem, io, &mut owed)?;
+                stepped = true;
+                continue;
+            }
 
             // The interpreter starts an instruction only while the budget
             // is not yet used up, and samples interrupts before each one.
@@ -793,7 +857,6 @@ impl Cpu {
             } else {
                 (block.body_within(limit), None)
             };
-            let map = engine.seg;
             let mut acc: u32 = 0;
             let mut aborted = false;
             let mut retired: u64 = 0;
@@ -804,7 +867,9 @@ impl Cpu {
                 retired += 1;
                 body_retired += 1;
                 self.regs.pc = self.regs.pc.wrapping_add(u16::from(dop.len));
-                if !mem.dirty_pages.is_empty() && engine.drain_dirty(mem, Some(&block)) {
+                if !mem.dirty_pages.is_empty()
+                    && mem.dirty_pages.iter().any(|p| block.pages.contains(p))
+                {
                     // The block modified its own code: resume at the next
                     // instruction, which will be freshly decoded.
                     aborted = true;
@@ -817,16 +882,18 @@ impl Cpu {
                 term_cycles = Some(c);
                 acc += c;
                 retired += 1;
-                if !mem.dirty_pages.is_empty() {
-                    engine.drain_dirty(mem, None);
-                }
             }
             self.cycles += u64::from(acc);
             self.instructions += retired;
             last = u64::from(acc);
             owed += last;
             if self.profiler.is_some() {
-                self.profile_block(&block, block_pc, body_retired, term_cycles);
+                self.profile_block(block, block_pc, body_retired, term_cycles);
+            }
+            // Evict what the block stored to, itself included, once it
+            // no longer borrows the cache.
+            if !mem.dirty_pages.is_empty() {
+                engine.drain_dirty(mem);
             }
         }
         // Leave `io` where sampling before every block leaves it:
@@ -857,7 +924,7 @@ impl Cpu {
             io.tick(std::mem::take(owed));
         }
         self.step(mem, io)?;
-        engine.drain_dirty(mem, None);
+        engine.drain_dirty(mem);
         Ok(())
     }
 
@@ -1320,9 +1387,57 @@ mod tests {
         fn tick(&mut self, _cycles: u64) {}
     }
 
-    fn cached(mem: &Memory, cpu: &Cpu, pc: u16) -> Rc<Block> {
+    fn cached(mem: &Memory, cpu: &Cpu, pc: u16) -> Arc<Block> {
         let engine = mem.cache.as_ref().expect("cache built");
-        Rc::clone(engine.blocks.get(&block_key(pc, cpu)).expect("block cached"))
+        Arc::clone(engine.blocks.get(&block_key(pc, cpu)).expect("block cached"))
+    }
+
+    #[test]
+    fn memories_on_one_image_decode_each_flash_block_once() {
+        // Flash code at 0x0100, three turns around an `ioi` barrier:
+        //   ld b,3 / loop: ioi ld a,(hl) / djnz loop / halt
+        let code = [0x06, 0x03, 0xD3, 0x7E, 0x10, 0xFC, 0x76];
+        let mut first = Memory::new();
+        first.load(0x0100, &code);
+        let mut second = Memory::new();
+        second.set_flash(first.flash().clone());
+        let run = |mem: &mut Memory| {
+            let mut cpu = Cpu::new();
+            cpu.regs.pc = 0x0100;
+            cpu.run_fast(mem, &mut NullIo, 1_000).expect("runs");
+            assert!(cpu.halted);
+        };
+        let stats = |decodes, barrier_decodes, inserts, shared_hits| CacheStats {
+            decodes,
+            barrier_decodes,
+            inserts,
+            shared_hits,
+        };
+
+        // Three blocks (0x0100, 0x0104, 0x0106) and the barrier at
+        // 0x0102, decoded once however often the loop comes back.
+        run(&mut first);
+        run(&mut first);
+        assert_eq!(first.cache_stats(), stats(3, 1, 4, 0));
+        // The second memory on the image decodes nothing.
+        run(&mut second);
+        assert_eq!(second.cache_stats(), stats(0, 0, 4, 4));
+
+        // Reprogramming the second memory's flash gives it a private
+        // image with a store of its own; the first keeps the old code.
+        second.load(0x0101, &[0x02]);
+        assert!(!second.flash().same_image(first.flash()));
+        run(&mut second);
+        assert_eq!(second.cache_stats(), stats(3, 1, 8, 4));
+        assert_eq!(first.read_phys(0x0101), 0x03);
+        run(&mut first);
+        assert_eq!(first.cache_stats(), stats(3, 1, 4, 0));
+
+        // A load that changes no flash byte keeps the image shared.
+        let mut third = Memory::new();
+        third.set_flash(first.flash().clone());
+        third.load(0x0100, &code);
+        assert!(third.flash().same_image(first.flash()));
     }
 
     #[test]
@@ -1344,13 +1459,13 @@ mod tests {
         assert_eq!(cpu.regs.pc, 0x0200);
         cpu.regs.pc = 0x0100;
         cpu.run_fast(&mut mem, &mut NullIo, 100).expect("runs");
-        assert!(Rc::ptr_eq(&before, &cached(&mem, &cpu, 0x0100)), "block kept");
+        assert!(Arc::ptr_eq(&before, &cached(&mem, &cpu, 0x0100)), "block kept");
 
         // A load over the code page evicts it: the next run decodes anew.
         mem.load(0x0101, &[0x02]);
         (cpu.regs.pc, cpu.halted) = (0x0100, false);
         cpu.run_fast(&mut mem, &mut NullIo, 100).expect("runs");
-        assert!(!Rc::ptr_eq(&before, &cached(&mem, &cpu, 0x0100)), "block evicted");
+        assert!(!Arc::ptr_eq(&before, &cached(&mem, &cpu, 0x0100)), "block evicted");
         assert_eq!(cpu.regs.a, 2);
         assert_eq!(mem.read_phys(SRAM_BASE + 0x5EFE), 0x03, "the pushed PC low byte");
     }

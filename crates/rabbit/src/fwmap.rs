@@ -7,7 +7,12 @@
 //! `rmc2000::Board::load`, the `dcc` test harness and the `aes-rabbit`
 //! runners all load images with [`load_phys`]; keeping one definition
 //! here is what guarantees that a program the compiler harness runs
-//! behaves identically on the board model.
+//! behaves identically on the board model. [`Firmware`] is an image
+//! placed by that map once, for the programming port of any number of
+//! boards.
+
+use crate::asm::Image;
+use crate::mem::{Flash, Memory};
 
 /// Root code origin (flash).
 pub const CODE_ORG: u16 = 0x4000;
@@ -38,6 +43,49 @@ pub fn load_phys(addr: u16) -> u32 {
         u32::from(addr) + u32::from(DATASEG_PAGE) * 0x1000
     } else {
         u32::from(addr)
+    }
+}
+
+/// An assembled image placed by [`load_phys`], ready for the
+/// programming port of any number of memories.
+///
+/// Its flash half is built once, as one immutable image that every memory
+/// it is loaded into shares with the blocks decoded from it; its SRAM
+/// half is copied into each memory.
+pub struct Firmware {
+    flash: Flash,
+    sections: Vec<(u32, Vec<u8>)>,
+}
+
+impl Firmware {
+    /// Places `image` by the firmware memory map.
+    pub fn new(image: &Image) -> Firmware {
+        let sections: Vec<(u32, Vec<u8>)> = image
+            .sections
+            .iter()
+            .map(|s| (load_phys(s.addr), s.bytes.clone()))
+            .collect();
+        let mut mem = Memory::new();
+        for (phys, bytes) in &sections {
+            mem.load(*phys, bytes);
+        }
+        Firmware {
+            flash: mem.flash().clone(),
+            sections,
+        }
+    }
+
+    /// Loads the image into `mem`, as [`Memory::load`] of every section
+    /// would. Flash that was never programmed takes this image's flash as
+    /// its own, shared; over programmed flash the sections load
+    /// copy-on-write.
+    pub fn load_into(&self, mem: &mut Memory) {
+        if mem.flash_erased() {
+            mem.set_flash(self.flash.clone());
+        }
+        for (phys, bytes) in &self.sections {
+            mem.load(*phys, bytes);
+        }
     }
 }
 

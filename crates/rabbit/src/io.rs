@@ -157,8 +157,9 @@ impl PortRange {
 /// Devices declare their port claims once at attach time, receive time in
 /// batches through [`Device::tick`], and surface interrupt requests that
 /// the bus arbitrates by priority. `as_any`/`as_any_mut` give boards
-/// typed access to an attached device (see [`Bus::device`]).
-pub trait Device: Any {
+/// typed access to an attached device (see [`Bus::device`]). Devices are
+/// `Send`, so a board and its bus can move to another thread.
+pub trait Device: Any + Send {
     /// Stable, short device name (used in diagnostics).
     fn name(&self) -> &'static str;
 

@@ -63,6 +63,8 @@ pub mod registers;
 pub use asm::{assemble, AsmError, Image, Section};
 pub use cpu::{Cond, Cpu, Engine, Fault};
 pub use disasm::{disassemble, listing, Decoded};
+pub use exec::CacheStats;
+pub use fwmap::Firmware;
 pub use io::{Bus, Device, DeviceId, Interrupt, IoSpace, NullIo, PortRange};
 pub use mem::{Memory, Mmu};
 pub use registers::{Flags, Reg16, Reg8, Registers};

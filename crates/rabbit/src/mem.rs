@@ -20,6 +20,16 @@
 //! stores to flash are ignored (flash requires an unlock sequence the
 //! firmware never issues); images are loaded through [`Memory::load`],
 //! which bypasses write protection.
+//!
+//! Flash is one immutable image, sized to what was loaded, that every
+//! memory loading the same [`crate::fwmap::Firmware`] shares together
+//! with the blocks decoded from it. A load that
+//! changes flash gives its memory a private copy first, so the
+//! programming port reaches one board and never another.
+
+use std::sync::Arc;
+
+use crate::exec::{CacheStats, SharedBlocks};
 
 /// Total physical address space reachable through the MMU.
 pub const PHYS_SIZE: usize = 0x10_0000;
@@ -137,13 +147,35 @@ impl Default for Mmu {
     }
 }
 
+/// An immutable flash image and the blocks decoded from it alone.
+///
+/// Cloning shares both: every memory holding a clone reads the same bytes
+/// and replays the same flash-resident blocks, so a fleet pays for its
+/// firmware once. The bytes are sized to what was loaded; flash past
+/// them reads as erased (`0xFF`).
+#[derive(Clone, Default)]
+pub(crate) struct Flash {
+    bytes: Arc<[u8]>,
+    /// Blocks whose bytes all lie in this image, keyed like the block
+    /// cache; every memory on the image consults them before decoding.
+    pub(crate) blocks: Arc<SharedBlocks>,
+}
+
+impl Flash {
+    /// Whether two handles share one image.
+    #[cfg(test)]
+    pub(crate) fn same_image(&self, other: &Flash) -> bool {
+        Arc::ptr_eq(&self.bytes, &other.bytes)
+    }
+}
+
 /// The physical memory of the board: flash plus SRAM, and the block cache
 /// decoded from it.
 ///
 /// Unpopulated physical addresses read as `0xFF` and ignore writes, like a
 /// floating bus.
 pub struct Memory {
-    flash: Vec<u8>,
+    pub(crate) flash: Flash,
     sram: Vec<u8>,
     /// Count of stores that targeted flash and were dropped; useful for
     /// catching firmware bugs in tests.
@@ -161,7 +193,9 @@ pub struct Memory {
     pub(crate) dirty_pages: Vec<u16>,
     /// The block cache of [`crate::Cpu::run_fast`]: it lives with the
     /// bytes it was decoded from, so no other memory can replay it and
-    /// every CPU running on this memory shares it. Created on first use.
+    /// every CPU running on this memory shares it. Blocks decoded from
+    /// flash alone come from, and go to, the flash image's shared store.
+    /// Created on first use.
     pub(crate) cache: Option<Box<crate::exec::ExecEngine>>,
 }
 
@@ -169,13 +203,36 @@ impl Memory {
     /// Creates memory with erased flash (all `0xFF`) and zeroed SRAM.
     pub fn new() -> Memory {
         Memory {
-            flash: vec![0xFF; FLASH_SIZE],
+            flash: Flash::default(),
             sram: vec![0; SRAM_SIZE],
             flash_write_faults: 0,
             code_pages: [0; 64],
             dirty_pages: Vec::new(),
             cache: None,
         }
+    }
+
+    /// The flash image, to share with another memory.
+    pub(crate) fn flash(&self) -> &Flash {
+        &self.flash
+    }
+
+    /// Whether flash was never programmed.
+    pub(crate) fn flash_erased(&self) -> bool {
+        self.flash.bytes.is_empty()
+    }
+
+    /// Replaces the flash image with `flash`, shared rather than copied.
+    /// Cached code on every page either image holds is evicted.
+    pub(crate) fn set_flash(&mut self, flash: Flash) {
+        let end = self.flash.bytes.len().max(flash.bytes.len());
+        self.flash = flash;
+        self.mark_range_dirty(0, end);
+    }
+
+    /// Work counters of the block cache (all zero before its first run).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.as_ref().map(|c| c.stats).unwrap_or_default()
     }
 
     /// Records a store to physical page `page` if it holds cached code.
@@ -188,13 +245,24 @@ impl Memory {
         }
     }
 
+    /// Records every populated page of `start..end` that holds cached
+    /// code, as stores to them would.
+    fn mark_range_dirty(&mut self, start: usize, end: usize) {
+        let end = end.min(FLASH_SIZE + SRAM_SIZE);
+        if start < end {
+            for page in (start >> 8)..=((end - 1) >> 8) {
+                self.mark_dirty(page as u32);
+            }
+        }
+    }
+
     /// Reads one byte of physical memory.
     #[inline]
     pub fn read_phys(&self, phys: u32) -> u8 {
         let p = phys as usize;
-        if p < FLASH_SIZE {
-            self.flash[p]
-        } else if p < FLASH_SIZE + SRAM_SIZE {
+        if let Some(&b) = self.flash.bytes.get(p) {
+            b
+        } else if (FLASH_SIZE..FLASH_SIZE + SRAM_SIZE).contains(&p) {
             self.sram[p - FLASH_SIZE]
         } else {
             0xFF
@@ -220,6 +288,9 @@ impl Memory {
     /// Copies whole populated sub-ranges at once rather than byte by byte;
     /// a load may straddle the flash/SRAM boundary or run off the end of
     /// populated memory (the excess is dropped, like the floating bus).
+    /// A load that changes flash is copy-on-write: this memory gets a
+    /// private image, with no decoded blocks, before the bytes change;
+    /// one that leaves every flash byte as it was keeps the image shared.
     pub fn load(&mut self, phys: u32, bytes: &[u8]) {
         let start = phys as usize;
         let end = start.saturating_add(bytes.len());
@@ -227,7 +298,18 @@ impl Memory {
         // Flash portion.
         if start < FLASH_SIZE {
             let n = bytes.len().min(FLASH_SIZE - start);
-            self.flash[start..start + n].copy_from_slice(&bytes[..n]);
+            if self.dump(phys, n) != bytes[..n] {
+                let mut image = self.flash.bytes.to_vec();
+                image.resize(image.len().max(start + n), 0xFF);
+                image[start..start + n].copy_from_slice(&bytes[..n]);
+                self.flash = Flash {
+                    bytes: image.into(),
+                    blocks: Arc::default(),
+                };
+                // A load rewrites arbitrary code: record every page it
+                // touched, as a store would.
+                self.mark_range_dirty(start, start + n);
+            }
         }
         // SRAM portion.
         let sram_end = FLASH_SIZE + SRAM_SIZE;
@@ -237,15 +319,7 @@ impl Memory {
             let src = lo - start;
             self.sram[lo - FLASH_SIZE..hi - FLASH_SIZE]
                 .copy_from_slice(&bytes[src..src + (hi - lo)]);
-        }
-
-        // A load rewrites arbitrary code, flash included: record every
-        // populated page it touched, as a store would.
-        let populated_end = end.min(sram_end);
-        if start < populated_end {
-            for page in (start >> 8)..=((populated_end - 1) >> 8) {
-                self.mark_dirty(page as u32);
-            }
+            self.mark_range_dirty(lo, hi);
         }
     }
 
@@ -258,9 +332,10 @@ impl Memory {
         let start = phys as usize;
         let end = start.saturating_add(len);
 
-        if start < FLASH_SIZE {
-            let n = len.min(FLASH_SIZE - start);
-            out[..n].copy_from_slice(&self.flash[start..start + n]);
+        let flash = &self.flash.bytes;
+        if start < flash.len() {
+            let n = len.min(flash.len() - start);
+            out[..n].copy_from_slice(&flash[start..start + n]);
         }
         let sram_end = FLASH_SIZE + SRAM_SIZE;
         if end > FLASH_SIZE && start < sram_end {

@@ -16,6 +16,7 @@
 //! random budgets, so that runs end inside blocks.
 
 use rabbit::cpu::{Cpu, Fault};
+use rabbit::fwmap::Firmware;
 use rabbit::io::NullIo;
 use rabbit::mem::{Memory, SRAM_BASE, SRAM_SIZE};
 use rand::rngs::StdRng;
@@ -544,6 +545,56 @@ fn code_rewritten_outside_the_engine_is_never_replayed() {
         }
     }
     assert!(kinds.iter().all(|&n| n > 1000), "schedule lost coverage: {kinds:?}");
+
+    // Two memories on one flash image, each with an interpreter twin:
+    // a load over flash on one must never change what the other
+    // replays. Flash code at 0x0200, looping forever:
+    //   nop            ; 00     <- host patches: nop / inc a / dec a
+    //   add a, 1       ; C6 01
+    //   jr 0x0200      ; 18 FB
+    let image = Firmware::new(&rabbit::Image {
+        sections: vec![rabbit::Section {
+            addr: 0x0200,
+            bytes: vec![0x00, 0xC6, 0x01, 0x18, 0xFB],
+        }],
+        ..Default::default()
+    });
+    let mut patches = [0u32; 2];
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xF1A5_0000);
+        // Pairs (interpreter, block cache); both block-cache memories
+        // start on the one image.
+        let mut pairs: [[(Cpu, Memory); 2]; 2] = std::array::from_fn(|_| {
+            std::array::from_fn(|_| {
+                let mut mem = Memory::new();
+                image.load_into(&mut mem);
+                let mut cpu = Cpu::new();
+                cpu.regs.pc = 0x0200;
+                (cpu, mem)
+            })
+        });
+        for slice in 0..200 {
+            if rng.gen_bool(0.3) {
+                let target = rng.gen_range(0..2usize);
+                patches[target] += 1;
+                let v = [0x00, 0x3C, 0x3D][rng.gen_range(0..3usize)];
+                for (_, mem) in &mut pairs[target] {
+                    mem.load(0x0200, &[v]);
+                }
+            }
+            let budget = rng.gen_range(1u64..=300);
+            for (p, [(a, mem_a), (b, mem_b)]) in pairs.iter_mut().enumerate() {
+                let ra = a.run(mem_a, &mut NullIo, budget);
+                let rb = b.run_fast(mem_b, &mut NullIo, budget);
+                let at = format!("pair {p}, seed {seed}, slice {slice}");
+                assert_eq!(ra, rb, "result diverged ({at})");
+                assert_eq!(a.cycles, b.cycles, "cycles diverged ({at})");
+                assert!(a.regs == b.regs, "registers diverged ({at})");
+                assert_eq!(mem_a.dump(0x0200, 5), mem_b.dump(0x0200, 5), "code ({at})");
+            }
+        }
+    }
+    assert!(patches.iter().all(|&n| n > 500), "schedule lost coverage: {patches:?}");
 }
 
 /// Remapping DATASEG between two executions of the same PC must not

@@ -7,7 +7,9 @@ use std::any::Any;
 
 use dynamicc::{Disposition, ErrorHandler, ErrorInfo, ErrorKind};
 use rabbit::io::ports;
-use rabbit::{Bus, Cpu, Device, DeviceId, Engine, Fault, Image, IoSpace, Memory, PortRange};
+use rabbit::{
+    Bus, Cpu, Device, DeviceId, Engine, Fault, Firmware, Image, IoSpace, Memory, PortRange,
+};
 use telemetry::Counter;
 
 use crate::nic::{Nic, NicPort};
@@ -206,10 +208,10 @@ impl Board {
     /// Loads an assembled image through the programming port, honouring
     /// the firmware memory map (root code below 0x8000 goes to flash,
     /// data at 0x8000+ to SRAM, xmem-window sections to their page).
+    /// The board's flash image is its own; boards that should share one
+    /// load the same [`Firmware`] instead, as [`crate::fleet_serve`] does.
     pub fn load(&mut self, image: &Image) {
-        for s in &image.sections {
-            self.mem.load(crate::load_phys(s.addr), &s.bytes);
-        }
+        Firmware::new(image).load_into(&mut self.mem);
     }
 
     /// Sets the program counter.
@@ -405,6 +407,12 @@ impl Board {
         pred(self)
     }
 }
+
+// No board part holds an `Rc`: a board can move to another thread.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Board>();
+};
 
 impl Default for Board {
     fn default() -> Board {

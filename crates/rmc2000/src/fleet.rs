@@ -47,7 +47,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rabbit::nicmap::MAX_CONNS;
-use rabbit::{Engine, IoSpace};
+use rabbit::{CacheStats, Engine, Firmware, IoSpace};
 use telemetry::{ProfileReport, SymbolTable};
 
 use netsim::{Endpoint, Ipv4, LinkId, LinkParams, LoadBalancer, Recv, SimHost, SocketId, World};
@@ -576,6 +576,10 @@ pub struct BoardReport {
     /// Cycle attribution by function, when [`FleetSpec::profile`] was
     /// set.
     pub profile: Option<ProfileReport>,
+    /// Block-cache work counts (all zero on the interpreter). They
+    /// depend on what the other boards on the image decoded first, so
+    /// they are not part of the run's observables.
+    pub cache: CacheStats,
 }
 
 /// Result of one balanced fleet serving run.
@@ -717,6 +721,12 @@ impl FaultDriver {
 /// checked before any work — or if a board's firmware faults or the
 /// session does not converge.
 pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
+    serve(spec, true)
+}
+
+/// [`fleet_serve`]; `share_image` false gives every board a private
+/// firmware image, the baseline the sharing oracle compares against.
+fn serve(spec: &FleetSpec, share_image: bool) -> FleetRun {
     assert!(spec.boards >= 1, "a fleet has at least one board");
     assert!(
         spec.dials.is_empty() || spec.dials.len() == spec.clients.len(),
@@ -741,12 +751,20 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
         FleetFirmware::SecureEcho { .. } => (build_secure_firmware(spec.opts), SECURE_PORT),
     };
 
+    // One image for the whole fleet: every board reads the same flash
+    // and replays the blocks any of them decoded from it.
+    let firmware = Firmware::new(&build.image);
+
     let world = Rc::new(RefCell::new(World::new(42)));
     let mut fleet = Fleet::new(&world);
     for (i, &ip) in board_ips.iter().enumerate() {
         let b = fleet.add_board(spec.engine, &format!("rmc2000-{i}"), ip);
         let board = fleet.board_mut(b);
-        board.load(&build.image);
+        if share_image {
+            firmware.load_into(&mut board.mem);
+        } else {
+            board.load(&build.image);
+        }
         board.set_pc(dcc::layout::CODE_ORG);
         if spec.profile {
             board.cpu.enable_profiler();
@@ -950,6 +968,7 @@ pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
                 alert_kinds,
                 serial_tx: board.serial().transmitted().to_vec(),
                 profile,
+                cache: board.mem.cache_stats(),
             }
         })
         .collect();
@@ -1104,6 +1123,68 @@ mod tests {
         let mut spec = FleetSpec::new(Engine::Interpreter, 2, b"", echo_clients(1));
         spec.dead_links = vec![1, 2];
         let _ = fleet_serve(&spec);
+    }
+
+    #[test]
+    fn boards_on_one_image_decode_each_flash_block_once() {
+        const PSK: &[u8] = b"rmc2000 shared secret";
+        let clients: Vec<GuestClient> = (0..8)
+            .map(|i| GuestClient::secure(&[format!("one image {i}").as_bytes()], PSK))
+            .collect();
+        for engine in [Engine::Interpreter, Engine::BlockCache] {
+            let spec = FleetSpec::new(engine, 8, PSK, clients.clone());
+            let shared = serve(&spec, true);
+            let private = serve(&spec, false);
+
+            // Sharing the image changes no observable.
+            assert_eq!(shared.outcomes, private.outcomes, "{engine:?}");
+            assert_eq!(shared.snapshot, private.snapshot, "{engine:?}");
+            assert_eq!(
+                (shared.virtual_us, shared.epochs, shared.echoed_bytes),
+                (private.virtual_us, private.epochs, private.echoed_bytes),
+                "{engine:?}"
+            );
+            for (s, p) in shared.boards.iter().zip(&private.boards) {
+                assert_eq!(
+                    (s.cycles, s.instructions, s.accepts, s.open, &s.conns, s.alert_kinds),
+                    (p.cycles, p.instructions, p.accepts, p.open, &p.conns, p.alert_kinds),
+                    "{engine:?} {}",
+                    s.label
+                );
+                assert_eq!(s.serial_tx, p.serial_tx, "{engine:?} {}", s.label);
+            }
+            assert!(shared.outcomes.iter().all(|o| o.established && o.error.is_none()));
+
+            let sum = |r: &FleetRun, f: fn(&CacheStats) -> u64| -> u64 {
+                r.boards.iter().map(|b| f(&b.cache)).sum()
+            };
+            if engine == Engine::Interpreter {
+                assert_eq!(sum(&shared, |c| c.inserts), 0, "the interpreter caches nothing");
+                continue;
+            }
+            for (s, p) in shared.boards.iter().zip(&private.boards) {
+                // Every board caches the same blocks either way; on a
+                // private image it decodes every one itself, on the
+                // shared one it takes what another board decoded.
+                let (s, p) = (s.cache, p.cache);
+                assert_eq!(s.inserts, p.inserts);
+                assert_eq!((p.shared_hits, p.decodes + p.barrier_decodes), (0, p.inserts));
+                assert_eq!(s.decodes + s.barrier_decodes + s.shared_hits, s.inserts);
+            }
+            // Fleet-wide, a block is decoded once, by whichever board
+            // reached it first: at least as many decodes as the busiest
+            // private board makes, and far fewer than eight private
+            // images make.
+            let decodes = |r: &FleetRun| sum(r, |c| c.decodes);
+            let busiest = private.boards.iter().map(|b| b.cache.decodes).max();
+            assert!(busiest <= Some(decodes(&shared)));
+            assert!(
+                decodes(&shared) * 2 < decodes(&private),
+                "{} decodes on one image, {} on private ones",
+                decodes(&shared),
+                decodes(&private)
+            );
+        }
     }
 
     #[test]

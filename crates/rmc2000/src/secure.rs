@@ -807,7 +807,6 @@ enum Mode {
         payload: Vec<u8>,
         hang_up: bool,
         sent: bool,
-        closed: bool,
     },
 }
 
@@ -865,7 +864,6 @@ impl FleetClient {
                 payload: payload.clone(),
                 hang_up: matches!(client, GuestClient::HangUp { .. }),
                 sent: false,
-                closed: false,
             },
         };
         FleetClient {
@@ -944,7 +942,9 @@ impl FleetClient {
         // with this error.
         let early_close = || Some(if reset { "Reset" } else { "EarlyClose" }.to_string());
 
-        self.done = match &mut self.mode {
+        // Each mode says when its exchange has run its course; a FIN or
+        // RST ends every client whatever its mode, below.
+        let finished = match &mut self.mode {
             Mode::Secure {
                 echo,
                 tamper,
@@ -1000,11 +1000,9 @@ impl FleetClient {
                     st.error = early_close();
                 }
                 match tamper {
-                    Tamper::None => *closed || st.error.is_some() || st.peer_closed || fin,
-                    Tamper::FlipDataMac => {
-                        *tampered && (st.peer_closed || st.error.is_some() || fin)
-                    }
-                    Tamper::TruncateAfterHeader => *tampered && (st.peer_closed || fin),
+                    Tamper::None => *closed || st.error.is_some() || st.peer_closed,
+                    Tamper::FlipDataMac => *tampered && (st.peer_closed || st.error.is_some()),
+                    Tamper::TruncateAfterHeader => *tampered && st.peer_closed,
                 }
             }
             Mode::Plain {
@@ -1025,23 +1023,18 @@ impl FleetClient {
                     host.close(conn);
                     *closed = true;
                 }
-                if fin && !*closed {
+                if fin && !*closed && st.error.is_none() {
                     // The echo never completed and the server side is
-                    // gone (stall abort or backend death): stop, with the
+                    // gone (stall abort or backend death): record the
                     // cause.
-                    if st.error.is_none() {
-                        st.error = early_close();
-                    }
-                    true
-                } else {
-                    *closed
+                    st.error = early_close();
                 }
+                *closed
             }
             Mode::Raw {
                 payload,
                 hang_up,
                 sent,
-                closed,
             } => {
                 st.established |= host.established(conn);
                 if !*sent && host.established(conn) {
@@ -1052,18 +1045,16 @@ impl FleetClient {
                         // Disconnect mid-exchange: FIN right behind the
                         // payload.
                         host.close(conn);
-                        *closed = true;
                     }
                 }
-                let done = *sent && (fin || (!*hang_up && record_complete(&st.raw_rx)));
-                if done && !*closed {
-                    host.close(conn);
-                    *closed = true;
-                }
-                done
+                *sent && !*hang_up && record_complete(&st.raw_rx)
             }
         };
 
+        // The connection is gone: a client the peer closed or reset has
+        // nothing left to wait for, whether or not its mode ran its
+        // course (a tamper that never fired, a payload never sent).
+        self.done = finished || fin;
         if self.done {
             host.close(conn); // idempotent
         }
