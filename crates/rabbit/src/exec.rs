@@ -39,6 +39,11 @@
 //!   which keeps every block whose bytes all lie in flash for all memories
 //!   on that image, and decodes only when the image has none; flash never
 //!   changes under an image, so a shared block never goes stale.
+//! * A *frozen* cache ([`Memory::freeze_cache`]) takes in nothing: a run
+//!   that reaches a block the memory's map lacks ends before it, at that
+//!   instruction boundary, so the run decodes, inserts and allocates
+//!   nothing. The fleet freezes the caches of boards it runs on worker
+//!   threads, so every decode and every map insert stays on one thread.
 //! * Data accesses inside a block translate through a [`SegMap`], the
 //!   per-segment translation cache compiled from the MMU registers; the
 //!   mapping cannot change mid-block because every instruction that could
@@ -47,15 +52,17 @@
 //!   decoded from, which keeps one bit per 256-byte page holding cached
 //!   code. Any store to such a page clears the bit and records the page,
 //!   whoever makes it: a block, an interpreted step, another CPU on the
-//!   same memory, a host `write_phys`, or a [`Memory::load`] (flash
-//!   included). The engine drains the record when it enters, after each
+//!   same memory, a host `write_phys`, or a [`Memory::load`] into SRAM.
+//!   Runtime stores to flash are dropped, so only a load can change flash
+//!   code, and a load that does empties the memory's whole map instead;
+//!   blocks decoded from flash alone are therefore never listed by page.
+//!   The engine drains the record when it enters, after each
 //!   block and after each interpreted step, evicting the blocks decoded
 //!   from each recorded page; a block checks the record after each store
 //!   and aborts if its own pages were hit, resuming at the next
 //!   instruction. Stores to other pages, such as the stack push of an
-//!   interrupt dispatch, leave the cache alone, and runtime stores to
-//!   flash are dropped by the memory model. The only whole-cache flush is
-//!   the size cap.
+//!   interrupt dispatch, leave the cache alone. The only whole-cache
+//!   flushes are the size cap and a load that changes flash.
 //! * The cycle budget is exact per block. Body ops have fixed costs, so a
 //!   block knows at decode time when its last instruction starts (its
 //!   *lead* cycles). A block whose lead fits the remaining budget runs
@@ -654,13 +661,17 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Misses the flash image's shared store answered without a decode.
     pub shared_hits: u64,
+    /// Runs a frozen cache ended before a block it lacked
+    /// ([`Memory::freeze_cache`]).
+    pub frozen_misses: u64,
 }
 
 /// The block cache: blocks decoded from one [`Memory`], owned by it and
 /// reused by every [`Cpu::run_fast`] call on it.
 pub struct ExecEngine {
     blocks: BlockMap,
-    /// Physical page -> keys of the cached blocks decoded from it.
+    /// Physical page -> keys of the cached blocks decoded from it, for
+    /// blocks with at least one SRAM page.
     page_blocks: HashMap<u16, Vec<u64>>,
     seg: SegMap,
     seg_key: Option<(u8, u8, u8, u8)>,
@@ -693,26 +704,41 @@ impl ExecEngine {
         }
     }
 
+    /// Drops every cached block; the work counters stay.
+    pub(crate) fn forget_blocks(&mut self) {
+        self.blocks.clear();
+        self.page_blocks.clear();
+    }
+
     /// The block (or barrier) at `pc` under the current mapping: from
     /// this memory's map, else from the flash image's store, else freshly
-    /// decoded.
-    fn lookup(&mut self, key: u64, pc: u16, mem: &mut Memory) -> &Block {
+    /// decoded. `None` when the cache is frozen and lacks it.
+    fn lookup(&mut self, key: u64, pc: u16, mem: &mut Memory) -> Option<&Block> {
+        if mem.cache_frozen {
+            // `get`, not `entry`: a vacant entry reserves map room.
+            let hit = self.blocks.get(&key).map(|b| &**b);
+            self.stats.frozen_misses += u64::from(hit.is_none());
+            return hit;
+        }
         if self.blocks.len() >= MAX_CACHED_BLOCKS && !self.blocks.contains_key(&key) {
-            self.blocks.clear();
-            self.page_blocks.clear();
+            self.forget_blocks();
             mem.code_pages = [0; 64];
         }
         let slot = match self.blocks.entry(key) {
-            Entry::Occupied(e) => return e.into_mut(),
+            Entry::Occupied(e) => return Some(e.into_mut()),
             Entry::Vacant(slot) => slot,
         };
         let block = fetch(&self.seg, mem, key, pc, &mut self.stats);
-        for &page in block.pages() {
-            mem.code_pages[usize::from(page >> 6)] |= 1 << (page & 63);
-            self.page_blocks.entry(page).or_default().push(key);
+        // Flash changes only by a load, which empties the whole map: a
+        // block decoded from flash alone needs no page listing.
+        if block.pages().iter().any(|&p| p >= FLASH_PAGES) {
+            for &page in block.pages() {
+                mem.code_pages[usize::from(page >> 6)] |= 1 << (page & 63);
+                self.page_blocks.entry(page).or_default().push(key);
+            }
         }
         self.stats.inserts += 1;
-        slot.insert(block)
+        Some(slot.insert(block))
     }
 
     /// Consumes `mem.dirty_pages`, evicting cached blocks decoded from any
@@ -832,7 +858,11 @@ impl Cpu {
             let map = engine.seg;
             let block_pc = self.regs.pc;
             let key = block_key(block_pc, self);
-            let block = engine.lookup(key, block_pc, mem);
+            let Some(block) = engine.lookup(key, block_pc, mem) else {
+                // A frozen cache lacks the block: end the run before it,
+                // as the budget would.
+                break;
+            };
             if block.is_barrier() {
                 // Barrier at the block start: interpret one instruction
                 // and try again from the next PC. An `ioi`/`ioe` prefix
@@ -1366,6 +1396,7 @@ mod tests {
     use super::*;
     use crate::io::{Interrupt, NullIo};
     use crate::mem::SRAM_BASE;
+    use crate::Engine;
 
     /// Requests one priority-1 interrupt at vector `0x0200`.
     struct OneIrq(bool);
@@ -1412,6 +1443,7 @@ mod tests {
             barrier_decodes,
             inserts,
             shared_hits,
+            frozen_misses: 0,
         };
 
         // Three blocks (0x0100, 0x0104, 0x0106) and the barrier at
@@ -1468,5 +1500,82 @@ mod tests {
         assert!(!Arc::ptr_eq(&before, &cached(&mem, &cpu, 0x0100)), "block evicted");
         assert_eq!(cpu.regs.a, 2);
         assert_eq!(mem.read_phys(SRAM_BASE + 0x5EFE), 0x03, "the pushed PC low byte");
+    }
+
+    #[test]
+    fn a_load_over_cached_flash_code_empties_only_that_memorys_cache() {
+        // Flash code at 0x0100 on one image: ld a,1 / halt.
+        let mut first = Memory::new();
+        first.load(0x0100, &[0x3E, 0x01, 0x76]);
+        let mut second = Memory::new();
+        second.set_flash(first.flash().clone());
+        let run = |mem: &mut Memory, engine: Engine| {
+            let mut cpu = Cpu::new();
+            cpu.regs.pc = 0x0100;
+            cpu.run_on(engine, mem, &mut NullIo, 100).expect("runs");
+            assert!(cpu.halted);
+            cpu.regs.a
+        };
+        assert_eq!(run(&mut first, Engine::BlockCache), 1);
+        assert_eq!(run(&mut second, Engine::BlockCache), 1);
+        let kept = cached(&second, &Cpu::new(), 0x0100);
+
+        // Reprogram the first memory (ld a,2). Its flash blocks are on no
+        // page list, so only emptying its map keeps the old block from
+        // being replayed.
+        first.load(0x0101, &[0x02]);
+        for engine in [Engine::Interpreter, Engine::BlockCache] {
+            assert_eq!(run(&mut first, engine), 2, "{engine:?}");
+        }
+
+        // The second memory keeps the old image and its cached block.
+        assert!(!second.flash().same_image(first.flash()));
+        assert_eq!(run(&mut second, Engine::BlockCache), 1);
+        assert!(Arc::ptr_eq(&kept, &cached(&second, &Cpu::new(), 0x0100)));
+        assert_eq!(second.cache_stats().inserts, 1);
+    }
+
+    #[test]
+    fn a_frozen_cache_ends_the_run_before_a_block_it_lacks() {
+        // Flash code: 0x0100: ld a,1 / jp 0x0110; 0x0110: ld a,2 / halt.
+        let mut mem = Memory::new();
+        mem.load(0x0100, &[0x3E, 0x01, 0xC3, 0x10, 0x01]);
+        mem.load(0x0110, &[0x3E, 0x02, 0x76]);
+        let fresh = || {
+            let mut cpu = Cpu::new();
+            cpu.regs.pc = 0x0100;
+            cpu
+        };
+        // The reference run, on another memory sharing the image: it
+        // fills the image's store, which a frozen map does not consult.
+        let mut whole = fresh();
+        let mut other = Memory::new();
+        other.set_flash(mem.flash().clone());
+        whole.run_fast(&mut other, &mut NullIo, 100).expect("runs");
+        assert!(whole.halted);
+
+        // Frozen and cold: the run stops before the first block.
+        let mut cpu = fresh();
+        mem.freeze_cache(true);
+        assert_eq!(cpu.run_fast(&mut mem, &mut NullIo, 100), Ok(0));
+        assert_eq!((cpu.regs.pc, cpu.halted), (0x0100, false));
+
+        // Thawed for the first block only (ld a,1 = 4, jp = 7 cycles),
+        // then frozen again: the run stops at the second block's start.
+        mem.freeze_cache(false);
+        assert_eq!(cpu.run_fast(&mut mem, &mut NullIo, 11), Ok(11));
+        let mut cpu = fresh();
+        mem.freeze_cache(true);
+        assert_eq!(cpu.run_fast(&mut mem, &mut NullIo, 100), Ok(11));
+        assert_eq!((cpu.regs.pc, cpu.regs.a, cpu.halted), (0x0110, 1, false));
+        let stats = mem.cache_stats();
+        assert_eq!((stats.frozen_misses, stats.inserts), (2, 1));
+
+        // Thawed, the rest of the budget ends where one run ends.
+        mem.freeze_cache(false);
+        cpu.run_fast(&mut mem, &mut NullIo, 100 - 11).expect("runs");
+        assert!(cpu.halted);
+        assert_eq!(cpu.cycles, whole.cycles);
+        assert_eq!(cpu.regs, whole.regs);
     }
 }

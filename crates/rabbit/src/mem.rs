@@ -25,7 +25,8 @@
 //! memory loading the same [`crate::fwmap::Firmware`] shares together
 //! with the blocks decoded from it. A load that
 //! changes flash gives its memory a private copy first, so the
-//! programming port reaches one board and never another.
+//! programming port reaches one board and never another, and drops every
+//! block that memory had cached: only that load can change flash code.
 
 use std::sync::Arc;
 
@@ -197,6 +198,8 @@ pub struct Memory {
     /// flash alone come from, and go to, the flash image's shared store.
     /// Created on first use.
     pub(crate) cache: Option<Box<crate::exec::ExecEngine>>,
+    /// Whether the block cache is frozen: see [`Memory::freeze_cache`].
+    pub(crate) cache_frozen: bool,
 }
 
 impl Memory {
@@ -209,6 +212,7 @@ impl Memory {
             code_pages: [0; 64],
             dirty_pages: Vec::new(),
             cache: None,
+            cache_frozen: false,
         }
     }
 
@@ -222,17 +226,38 @@ impl Memory {
         self.flash.bytes.is_empty()
     }
 
-    /// Replaces the flash image with `flash`, shared rather than copied.
-    /// Cached code on every page either image holds is evicted.
+    /// Replaces the flash image with `flash`, shared rather than copied,
+    /// and drops every cached block.
     pub(crate) fn set_flash(&mut self, flash: Flash) {
-        let end = self.flash.bytes.len().max(flash.bytes.len());
         self.flash = flash;
-        self.mark_range_dirty(0, end);
+        self.forget_blocks();
+    }
+
+    /// Empties the block cache's map (its work counters stay). Flash code
+    /// changes only here, so the cache lists no page index for blocks
+    /// decoded from flash alone.
+    fn forget_blocks(&mut self) {
+        if let Some(cache) = self.cache.as_mut() {
+            cache.forget_blocks();
+        }
+        self.code_pages = [0; 64];
+        self.dirty_pages.clear();
     }
 
     /// Work counters of the block cache (all zero before its first run).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.as_ref().map(|c| c.stats).unwrap_or_default()
+    }
+
+    /// Freezes or thaws the block cache. A frozen cache takes in no
+    /// block: a [`crate::Cpu::run_fast`] that reaches code this memory
+    /// has not cached ends there, at that instruction boundary and short
+    /// of its budget, without decoding, inserting or allocating anything.
+    /// Where a run ends changes nothing the CPU does, so the caller runs
+    /// the rest of the budget once the cache thaws. The interpreter never
+    /// stops early.
+    pub fn freeze_cache(&mut self, frozen: bool) {
+        self.cache_frozen = frozen;
     }
 
     /// Records a store to physical page `page` if it holds cached code.
@@ -289,8 +314,9 @@ impl Memory {
     /// a load may straddle the flash/SRAM boundary or run off the end of
     /// populated memory (the excess is dropped, like the floating bus).
     /// A load that changes flash is copy-on-write: this memory gets a
-    /// private image, with no decoded blocks, before the bytes change;
-    /// one that leaves every flash byte as it was keeps the image shared.
+    /// private image, with no decoded blocks, before the bytes change,
+    /// and its block cache is emptied; one that leaves every flash byte
+    /// as it was keeps the image and the cache.
     pub fn load(&mut self, phys: u32, bytes: &[u8]) {
         let start = phys as usize;
         let end = start.saturating_add(bytes.len());
@@ -302,13 +328,10 @@ impl Memory {
                 let mut image = self.flash.bytes.to_vec();
                 image.resize(image.len().max(start + n), 0xFF);
                 image[start..start + n].copy_from_slice(&bytes[..n]);
-                self.flash = Flash {
+                self.set_flash(Flash {
                     bytes: image.into(),
                     blocks: Arc::default(),
-                };
-                // A load rewrites arbitrary code: record every page it
-                // touched, as a store would.
-                self.mark_range_dirty(start, start + n);
+                });
             }
         }
         // SRAM portion.
@@ -482,22 +505,32 @@ mod tests {
         mem.write_phys(SRAM_BASE, 1);
         assert!(mem.dirty_pages.is_empty(), "no cached code, nothing recorded");
 
-        // Mark three pages as holding cached code, one of them in flash;
-        // stores to pages without the bit are filtered out.
-        for phys in [0x100, SRAM_BASE + 0x100, SRAM_BASE + 0x300] {
+        // Mark three pages as holding cached code; stores to pages
+        // without the bit are filtered out.
+        let mark = |mem: &mut Memory, phys: u32| {
             mem.code_pages[usize::from(page(phys) >> 6)] |= 1 << (page(phys) & 63);
+        };
+        for phys in [SRAM_BASE + 0x100, SRAM_BASE + 0x300, SRAM_BASE + 0x500] {
+            mark(&mut mem, phys);
         }
         mem.write_phys(0x123, 0xAB); // flash: dropped, changes no code
         mem.write_phys(SRAM_BASE + 0x123, 2);
         mem.write_phys(SRAM_BASE + 0x124, 3); // same page: recorded once
         mem.write_phys(SRAM_BASE + 0x400, 4); // no code bit: filtered
         mem.write_phys(SRAM_BASE + 0x300, 5);
-        mem.load(0xF0, &[0; 0x20]); // a load over flash code records it
+        mem.load(SRAM_BASE + 0x4F0, &[0; 0x20]); // a load records as a store
         mem.write_phys(SRAM_BASE + 0x1FF, 6); // recorded until drained
         assert_eq!(
             mem.dirty_pages,
-            vec![page(SRAM_BASE + 0x100), page(SRAM_BASE + 0x300), page(0x100)]
+            vec![page(SRAM_BASE + 0x100), page(SRAM_BASE + 0x300), page(SRAM_BASE + 0x500)]
         );
         assert_eq!(mem.code_pages, [0; 64], "each recorded page left the set");
+
+        // A load that changes flash empties the whole cache instead:
+        // nothing is left to record or to evict.
+        mark(&mut mem, SRAM_BASE + 0x100);
+        mem.load(0xF0, &[0; 0x20]);
+        assert!(mem.dirty_pages.is_empty());
+        assert_eq!(mem.code_pages, [0; 64]);
     }
 }

@@ -102,6 +102,10 @@ pub enum RunOutcome {
     HandlerHalt,
     /// A fault was raised and the error handler asked for a reset.
     HandlerReset,
+    /// The block cache is frozen ([`rabbit::Memory::freeze_cache`]) and
+    /// lacks the next block: the run ended before it. Running on once
+    /// the cache thaws continues exactly where one run would have.
+    Uncached,
 }
 
 /// The RMC2000 board.
@@ -257,7 +261,9 @@ impl Board {
         self.resets += 1;
     }
 
-    /// Runs until halt, fault-handler stop, or the cycle budget runs out.
+    /// Runs until halt, fault-handler stop, or the cycle budget runs out
+    /// (or, on a frozen block cache, a block it lacks:
+    /// [`RunOutcome::Uncached`]).
     ///
     /// Execution goes through [`Board::engine`] (the block-caching engine
     /// by default); waiting in `halt` for an interrupt goes through the
@@ -285,6 +291,8 @@ impl Board {
                 None
             } else {
                 match self.cpu.run_on(self.engine, &mut self.mem, &mut self.bus, left) {
+                    // Only a frozen cache ends a run early while running.
+                    Ok(ran) if ran < left && !self.cpu.halted => Some(RunOutcome::Uncached),
                     Ok(_) => None,
                     Err(fault) => self.route_fault(fault),
                 }

@@ -21,7 +21,8 @@
 //!    with what the world holds at `T`;
 //! 3. each board executes its own `(T-50, T]` cycle slice against its
 //!    port, which logs the `netsim` calls the guest's commands and NIC
-//!    polls ask for;
+//!    polls ask for — on worker threads when enough boards are runnable
+//!    (see below);
 //! 4. the ports are drained in slot order: every logged call is made,
 //!    stamped at `T`.
 //!
@@ -32,6 +33,33 @@
 //! transcript, counter, or cycle count. Poll boundaries depend only on
 //! accumulated cycle totals, so both CPU engines see identical crossings
 //! and the whole schedule is engine-invariant.
+//!
+//! # Parallel epochs
+//!
+//! A thread schedule is one more visit order, so step 3 may run the
+//! slices on threads. When at least three boards are runnable at the
+//! barrier (neither halted nor wedged), their cores — board, cycle
+//! target and state, one box each — are lent to the fleet's worker pool
+//! (`available_parallelism() - 1` threads, joined when the fleet drops).
+//! The calling thread claims slices too, and runs the other slots'
+//! slices meanwhile; every other step stays on it. Below that count
+//! the epoch runs serially and wakes no worker. The pool starts only
+//! after 32 such epochs in a row: once a process has started a thread,
+//! its malloc stays on the slower multi-thread path, which the short
+//! bursts of a mostly idle fleet do not repay. On a one-core host no
+//! thread is ever started.
+//!
+//! A worker runs its board on a *frozen* block cache
+//! ([`rabbit::Memory::freeze_cache`]): at a block the board's cache lacks
+//! the slice stops, at that instruction boundary, and the worker hands it
+//! back for the calling thread to finish. Ending a slice at an
+//! instruction boundary changes nothing the board does — slices already
+//! split at halts and wakes — and so every decode, every cache insert,
+//! and the shared flash store's lock stay on one thread. Blocks and
+//! cache maps, the bulk of a run's allocations, all come from that
+//! thread's malloc arena; a worker's few allocations are NIC receive
+//! frames. A slice that panics on a worker is re-raised on the calling
+//! thread once every core is home.
 //!
 //! # Idle fast-forward
 //!
@@ -44,7 +72,9 @@
 //! visit-order- and engine-invariant.
 
 use std::cell::RefCell;
+use std::panic;
 use std::rc::Rc;
+use std::thread;
 
 use rabbit::nicmap::MAX_CONNS;
 use rabbit::{CacheStats, Engine, Firmware, IoSpace};
@@ -59,6 +89,7 @@ use crate::faults::{AppliedFault, FaultEvent, FaultPlan, FaultReport, ScheduledF
 use crate::nic::{
     Nic, NicCounters, NicPort, PortCmd, PortConn, CYCLES_PER_US, FRAME_MAX, POLL_PERIOD_US,
 };
+use crate::pool::Pool;
 use crate::secure::{
     build_secure_firmware, ClientOutcome, ConnCounters, FleetClient, GuestClient, SECURE_PORT,
 };
@@ -220,14 +251,116 @@ fn read_conn(host: &SimHost, sock: SocketId, unsent: usize, port: &mut PortConn)
     host.peek(sock, &mut port.rx);
 }
 
-struct Slot {
+/// Everything a board's epoch slice touches: it moves to a worker
+/// thread and back as one box.
+struct Core {
     board: Board,
-    sockets: SocketTable,
     /// Absolute cycle target at the current epoch's end. Instruction
     /// overshoot (a board cannot stop mid-instruction) carries forward:
     /// the next epoch's slice is that much shorter.
     target: u64,
     state: BoardState,
+}
+
+impl Core {
+    /// Whether the board has work at the barrier: neither halted nor
+    /// wedged. A halted board wakes on an interrupt, if at all, and is
+    /// not asked, which would flush its bus.
+    fn runnable(&self) -> bool {
+        self.state == BoardState::Running && !self.board.cpu.halted
+    }
+
+    /// Board `i`'s slice of the epoch: its cycle target moves one epoch
+    /// on, and the board runs up to it. A wedged slot is skipped
+    /// outright: its target does not advance, so no catch-up debt
+    /// accrues while frozen.
+    fn slice(&mut self, i: usize) {
+        if self.state == BoardState::Running {
+            self.target += EPOCH_CYCLES;
+            let done = self.advance(i);
+            debug_assert!(done, "only a worker freezes a cache");
+        }
+    }
+
+    /// Runs board `i` up to its target, mixing execution and batched
+    /// halted time. Returns false when a frozen block cache stopped the
+    /// board short of the target; running on after a thaw finishes the
+    /// slice.
+    fn advance(&mut self, i: usize) -> bool {
+        let board = &mut self.board;
+        while board.cpu.cycles < self.target {
+            let left = self.target - board.cpu.cycles;
+            match board.run(left) {
+                RunOutcome::Halted => {
+                    // `run` returns Halted without consuming the budget
+                    // when the CPU is already parked; burn the remainder
+                    // as batched halted time.
+                    let left = self.target.saturating_sub(board.cpu.cycles);
+                    if left > 0 {
+                        board.idle(left);
+                    }
+                }
+                RunOutcome::BudgetExhausted => {}
+                RunOutcome::Uncached => return false,
+                other => panic!("board {i} firmware stopped: {other:?}"),
+            }
+        }
+        true
+    }
+}
+
+/// The pool's job: board `i` runs up to its target, on a frozen block
+/// cache when it runs on a worker, so every decode and map insert stays
+/// on the calling thread.
+fn lent_slice(core: &mut Core, i: usize, on_worker: bool) -> bool {
+    core.board.mem.freeze_cache(on_worker);
+    let done = core.advance(i);
+    core.board.mem.freeze_cache(false);
+    done
+}
+
+/// Fewest runnable boards for which an epoch's slices go to the worker
+/// pool; below it they run on the calling thread, which then never
+/// wakes a worker.
+const PARALLEL_MIN_RUNNABLE: usize = 3;
+
+/// Consecutive epochs with [`PARALLEL_MIN_RUNNABLE`] runnable boards
+/// after which a fleet starts its pool. Once a process has started a
+/// thread, glibc's malloc takes its locked multi-thread path for the
+/// rest of the process, which slows every later single-threaded phase
+/// (firmware builds pinned to one core ran ~7 % slower after one thread
+/// had come and gone). So the pool starts only for sustained parallel
+/// work, not for the bursts of at most fifteen epochs in which a mostly
+/// idle fleet has several boards running.
+const PARALLEL_START_STREAK: u64 = 32;
+
+struct Slot {
+    /// `None` only while a worker holds it, inside [`Fleet::run_epoch`].
+    core: Option<Box<Core>>,
+    sockets: SocketTable,
+}
+
+impl Slot {
+    fn core(&self) -> &Core {
+        self.core.as_deref().expect("every core is home between epochs")
+    }
+
+    fn core_mut(&mut self) -> &mut Core {
+        self.core
+            .as_deref_mut()
+            .expect("every core is home between epochs")
+    }
+
+    /// The board's port and the world's side of it, for the exchange.
+    fn port(&mut self) -> (&mut NicPort, &mut SocketTable) {
+        let board = &mut self
+            .core
+            .as_deref_mut()
+            .expect("every core is home between epochs")
+            .board;
+        let port = board.nic_port_mut().expect("fleet boards carry a NIC");
+        (port, &mut self.sockets)
+    }
 }
 
 /// A set of boards sharing one [`World`], advanced in deterministic
@@ -236,6 +369,18 @@ pub struct Fleet {
     world: Rc<RefCell<World>>,
     slots: Vec<Slot>,
     epochs: u64,
+    /// Worker threads to run slices on: `None` until the pool would
+    /// start, then `available_parallelism() - 1`.
+    workers: Option<usize>,
+    /// Fewest runnable boards for which an epoch goes to the pool.
+    min_runnable: usize,
+    /// Epochs in a row with `min_runnable` runnable boards so far, and
+    /// how many it takes to start the pool.
+    streak: u64,
+    start_streak: u64,
+    /// Started once `streak` reaches `start_streak`; dropping it joins
+    /// its threads.
+    pool: Option<Pool<Core>>,
 }
 
 impl Fleet {
@@ -245,6 +390,11 @@ impl Fleet {
             world: Rc::clone(world),
             slots: Vec::new(),
             epochs: 0,
+            workers: None,
+            min_runnable: PARALLEL_MIN_RUNNABLE,
+            streak: 0,
+            start_streak: PARALLEL_START_STREAK,
+            pool: None,
         }
     }
 
@@ -276,22 +426,24 @@ impl Fleet {
             board.attach_nic(Nic::with_counters(counters));
         }
         self.slots.push(Slot {
-            board,
+            core: Some(Box::new(Core {
+                board,
+                target: 0,
+                state: BoardState::Running,
+            })),
             sockets: SocketTable::new(host),
-            target: 0,
-            state: BoardState::Running,
         });
         idx
     }
 
     /// Board `i`.
     pub fn board(&self, i: usize) -> &Board {
-        &self.slots[i].board
+        &self.slots[i].core().board
     }
 
     /// Board `i`, mutably.
     pub fn board_mut(&mut self, i: usize) -> &mut Board {
-        &mut self.slots[i].board
+        &mut self.slots[i].core_mut().board
     }
 
     /// Board `i`'s network host handle.
@@ -309,14 +461,14 @@ impl Fleet {
     /// wedged board counts as parked — it contributes nothing until
     /// resurrected, and must not block fleet-wide fast-forward.
     pub fn parked(&mut self, i: usize) -> bool {
-        let s = &mut self.slots[i];
-        s.state == BoardState::Wedged
-            || (s.board.cpu.halted && s.board.bus.pending_interrupt().is_none())
+        let c = self.slots[i].core_mut();
+        c.state == BoardState::Wedged
+            || (c.board.cpu.halted && c.board.bus.pending_interrupt().is_none())
     }
 
     /// Board `i`'s fault state.
     pub fn state(&self, i: usize) -> BoardState {
-        self.slots[i].state
+        self.slots[i].core().state
     }
 
     /// Wedges board `i`: from the next epoch on, the scheduler skips
@@ -325,16 +477,16 @@ impl Fleet {
     /// TCP stack would otherwise answer SYNs for the frozen board); the
     /// fleet fault driver does both.
     pub fn wedge(&mut self, i: usize) {
-        self.slots[i].state = BoardState::Wedged;
+        self.slots[i].core_mut().state = BoardState::Wedged;
     }
 
     /// Resurrects a wedged board. Lost time is lost: the cycle target
     /// snaps to the board's frozen cycle count, so the board resumes
     /// from where it stopped instead of replaying the missed epochs.
     pub fn resurrect(&mut self, i: usize) {
-        let s = &mut self.slots[i];
-        s.state = BoardState::Running;
-        s.target = s.board.cpu.cycles;
+        let c = self.slots[i].core_mut();
+        c.state = BoardState::Running;
+        c.target = c.board.cpu.cycles;
     }
 
     /// Whether every board is parked.
@@ -345,7 +497,9 @@ impl Fleet {
     /// Runs one epoch: the world first reaches the epoch's end, then
     /// every board — visited in `order` — executes its cycle slice up to
     /// the barrier. `order` must name each board exactly once; any
-    /// permutation yields identical observables (see module docs).
+    /// permutation yields identical observables (see module docs), and
+    /// so does running the slices on worker threads, which this does
+    /// when enough boards are runnable.
     ///
     /// # Panics
     ///
@@ -361,11 +515,79 @@ impl Fleet {
             "order visits every board exactly once"
         );
         self.run_world(EPOCH_US);
-        for &i in order {
-            self.advance_slot(i);
+        let runnable = self.slots.iter().filter(|s| s.core().runnable()).count();
+        let parallel = runnable >= self.min_runnable;
+        self.streak = if parallel { self.streak + 1 } else { 0 };
+        if parallel
+            && (self.pool.is_some() || self.streak >= self.start_streak)
+            && self.workers() > 0
+        {
+            self.run_slices_on_workers();
+        } else {
+            for &i in order {
+                self.slots[i].core_mut().slice(i);
+            }
         }
         self.drain_ports();
         self.epochs += 1;
+    }
+
+    /// Worker threads this fleet runs slices on, fixed on first use.
+    fn workers(&mut self) -> usize {
+        *self.workers.get_or_insert_with(|| {
+            thread::available_parallelism().map_or(0, |n| n.get() - 1)
+        })
+    }
+
+    /// Runs every epoch with a runnable board on `n` worker threads,
+    /// whatever the host's core count (0: every epoch serial). Set before
+    /// the first epoch.
+    fn force_workers(&mut self, n: usize) {
+        self.workers = Some(n);
+        self.min_runnable = 1;
+        self.start_streak = 1;
+    }
+
+    /// The epoch's slices with the runnable boards' cores lent to the
+    /// pool: workers and this thread claim them, while this thread also
+    /// runs the other slots' slices. A worker hands back a
+    /// slice its frozen cache stopped short, and this thread finishes it;
+    /// a slice that panicked is re-raised here once every core is home.
+    fn run_slices_on_workers(&mut self) {
+        let n = self.slots.len();
+        if self.pool.as_ref().is_none_or(|p| p.cells() != n) {
+            let workers = self.workers();
+            self.pool = None; // join the old pool's threads first
+            self.pool = Some(Pool::new(n, workers, lent_slice));
+        }
+        let pool = self.pool.as_mut().expect("pool started");
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if slot.core().runnable() {
+                let mut core = slot.core.take().expect("core is home");
+                core.target += EPOCH_CYCLES;
+                pool.lend(i, core);
+            }
+        }
+        let slots = &mut self.slots;
+        pool.run(|| {
+            for (i, slot) in slots.iter_mut().enumerate() {
+                if let Some(core) = slot.core.as_deref_mut() {
+                    core.slice(i);
+                }
+            }
+        });
+        let mut panicked = None;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some((core, ended)) = pool.take(i) {
+                slot.core = Some(core);
+                if let Err(payload) = ended {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
     }
 
     /// The barrier's exchange around one world step: every port's logged
@@ -375,44 +597,16 @@ impl Fleet {
         self.drain_ports();
         self.world.borrow_mut().run_for(us);
         for s in &mut self.slots {
-            let port = s.board.nic_port_mut().expect("fleet boards carry a NIC");
-            s.sockets.fill(port);
+            let (port, sockets) = s.port();
+            sockets.fill(port);
         }
     }
 
     /// Drains every board's port, in slot order.
     fn drain_ports(&mut self) {
         for s in &mut self.slots {
-            let port = s.board.nic_port_mut().expect("fleet boards carry a NIC");
-            s.sockets.drain(port);
-        }
-    }
-
-    /// Brings board `i` up to its epoch-end cycle target, mixing
-    /// execution and batched halted time. A wedged slot is skipped
-    /// outright: its target does not advance, so no catch-up debt
-    /// accrues while frozen.
-    fn advance_slot(&mut self, i: usize) {
-        let slot = &mut self.slots[i];
-        if slot.state == BoardState::Wedged {
-            return;
-        }
-        slot.target += EPOCH_CYCLES;
-        while slot.board.cpu.cycles < slot.target {
-            let left = slot.target - slot.board.cpu.cycles;
-            match slot.board.run(left) {
-                RunOutcome::Halted => {
-                    // `run` returns Halted without consuming the budget
-                    // when the CPU is already parked; burn the remainder
-                    // as batched halted time.
-                    let left = slot.target.saturating_sub(slot.board.cpu.cycles);
-                    if left > 0 {
-                        slot.board.idle(left);
-                    }
-                }
-                RunOutcome::BudgetExhausted => {}
-                other => panic!("board {i} firmware stopped: {other:?}"),
-            }
+            let (port, sockets) = s.port();
+            sockets.drain(port);
         }
     }
 
@@ -439,10 +633,11 @@ impl Fleet {
             }
         }
         for s in &mut self.slots {
-            if s.state == BoardState::Wedged {
+            let c = s.core_mut();
+            if c.state == BoardState::Wedged {
                 continue; // frozen: no deadlines, no idle time
             }
-            if let Some(d) = s.board.bus.next_deadline() {
+            if let Some(d) = c.board.bus.next_deadline() {
                 k = k.min(d / EPOCH_CYCLES);
             }
         }
@@ -451,13 +646,14 @@ impl Fleet {
         }
         self.run_world(k * EPOCH_US);
         for s in &mut self.slots {
-            if s.state == BoardState::Wedged {
+            let c = s.core_mut();
+            if c.state == BoardState::Wedged {
                 continue;
             }
-            s.target += k * EPOCH_CYCLES;
-            let left = s.target.saturating_sub(s.board.cpu.cycles);
+            c.target += k * EPOCH_CYCLES;
+            let left = c.target.saturating_sub(c.board.cpu.cycles);
             if left > 0 {
-                s.board.idle(left);
+                c.board.idle(left);
             }
         }
         self.drain_ports();
@@ -577,8 +773,10 @@ pub struct BoardReport {
     /// set.
     pub profile: Option<ProfileReport>,
     /// Block-cache work counts (all zero on the interpreter). They
-    /// depend on what the other boards on the image decoded first, so
-    /// they are not part of the run's observables.
+    /// depend on what the other boards on the image decoded first, and on
+    /// which slices ran on worker threads (where a frozen cache stops at
+    /// a miss, counted in [`CacheStats::frozen_misses`]), so they are not
+    /// part of the run's observables.
     pub cache: CacheStats,
 }
 
@@ -711,7 +909,8 @@ impl FaultDriver {
 /// Runs `spec.boards` boards behind a simulated TCP load balancer
 /// against `spec.clients` concurrent host-side clients. Every
 /// observable is a deterministic function of the spec — identical on
-/// both engines and under any per-epoch board visit order.
+/// both engines, under any per-epoch board visit order, and whether or
+/// not board slices run on worker threads.
 ///
 /// # Panics
 ///
@@ -721,12 +920,14 @@ impl FaultDriver {
 /// checked before any work — or if a board's firmware faults or the
 /// session does not converge.
 pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
-    serve(spec, true)
+    serve(spec, true, None)
 }
 
 /// [`fleet_serve`]; `share_image` false gives every board a private
-/// firmware image, the baseline the sharing oracle compares against.
-fn serve(spec: &FleetSpec, share_image: bool) -> FleetRun {
+/// firmware image, the baseline the sharing oracle compares against, and
+/// `workers` runs every epoch with a runnable board on that many worker
+/// threads, whatever the host's cores (more workers than cores is fine).
+fn serve(spec: &FleetSpec, share_image: bool, workers: Option<usize>) -> FleetRun {
     assert!(spec.boards >= 1, "a fleet has at least one board");
     assert!(
         spec.dials.is_empty() || spec.dials.len() == spec.clients.len(),
@@ -757,6 +958,9 @@ fn serve(spec: &FleetSpec, share_image: bool) -> FleetRun {
 
     let world = Rc::new(RefCell::new(World::new(42)));
     let mut fleet = Fleet::new(&world);
+    if let Some(n) = workers {
+        fleet.force_workers(n);
+    }
     for (i, &ip) in board_ips.iter().enumerate() {
         let b = fleet.add_board(spec.engine, &format!("rmc2000-{i}"), ip);
         let board = fleet.board_mut(b);
@@ -1065,6 +1269,10 @@ fn guest_symbols(build: &dcc::Build) -> SymbolTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::secure::Tamper;
+    use proptest::prelude::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn echo_clients(n: usize) -> Vec<GuestClient> {
         (0..n)
@@ -1133,8 +1341,8 @@ mod tests {
             .collect();
         for engine in [Engine::Interpreter, Engine::BlockCache] {
             let spec = FleetSpec::new(engine, 8, PSK, clients.clone());
-            let shared = serve(&spec, true);
-            let private = serve(&spec, false);
+            let shared = serve(&spec, true, Some(0));
+            let private = serve(&spec, false, Some(0));
 
             // Sharing the image changes no observable.
             assert_eq!(shared.outcomes, private.outcomes, "{engine:?}");
@@ -1161,6 +1369,17 @@ mod tests {
             if engine == Engine::Interpreter {
                 assert_eq!(sum(&shared, |c| c.inserts), 0, "the interpreter caches nothing");
                 continue;
+            }
+            // On worker threads every decode and insert still happens on
+            // the calling thread, against the one image: each flash block
+            // is decoded exactly once, as in the serial run.
+            for workers in [1, 3] {
+                let threaded = serve(&spec, true, Some(workers));
+                assert_eq!(threaded.outcomes, shared.outcomes, "{workers} workers");
+                let counts: [fn(&CacheStats) -> u64; 2] = [|c| c.decodes, |c| c.barrier_decodes];
+                for count in counts {
+                    assert_eq!(sum(&threaded, count), sum(&shared, count), "{workers} workers");
+                }
             }
             for (s, p) in shared.boards.iter().zip(&private.boards) {
                 // Every board caches the same blocks either way; on a
@@ -1199,5 +1418,240 @@ mod tests {
         assert_eq!(ra.snapshot, rb.snapshot);
         assert_eq!(ra.virtual_us, rb.virtual_us);
         assert_eq!(ra.epochs, rb.epochs);
+    }
+
+    /// Everything a run shows except the block-cache counts, which depend
+    /// on which board reached a shared block first.
+    fn observables(r: &FleetRun) -> String {
+        let boards: Vec<BoardReport> = r
+            .boards
+            .iter()
+            .map(|b| BoardReport {
+                cache: CacheStats::default(),
+                ..b.clone()
+            })
+            .collect();
+        format!(
+            "{:?}",
+            (&r.outcomes, boards, &r.backends, r.epochs, r.virtual_us, &r.snapshot, &r.faults)
+        )
+    }
+
+    /// The E16 fault timeline on four boards: a wedge with resurrection,
+    /// a link flap and a MAC storm, under three waves of dials.
+    fn fault_storm(engine: Engine, psk: &[u8]) -> FleetSpec {
+        let clients = (0..12)
+            .map(|i| {
+                let m = format!("fault wave client {i}").into_bytes();
+                match i {
+                    2 | 3 | 10 | 11 => GuestClient::Plain { messages: vec![m] },
+                    _ => GuestClient::secure(&[&m, b"second record"], psk),
+                }
+            })
+            .collect();
+        let mut spec = FleetSpec::new(engine, 4, psk, clients);
+        spec.probe_gap_us = Some(900);
+        spec.faults = FaultPlan::new()
+            .wedge_resurrect(1, 560_000, 1_600_000)
+            .flap(2, 600_000, 750_000, 0.4)
+            .storm(
+                3,
+                600_000,
+                1_500_000,
+                netsim::Corruption::mac_storm(issl::recmap::REC_DATA),
+            );
+        spec.dials = [0, 600_000, 1_900_000]
+            .iter()
+            .flat_map(|&t| [t; 4])
+            .collect();
+        spec.lb_retry_after_us = Some(200_000);
+        spec.lb_stall_timeout_us = Some(2_000_000);
+        spec
+    }
+
+    /// Runs `spec` on both engines with 0, 1 and 3 worker threads and
+    /// requires identical observables.
+    fn threads_change_nothing(spec: impl Fn(Engine) -> FleetSpec) {
+        for engine in [Engine::Interpreter, Engine::BlockCache] {
+            let spec = spec(engine);
+            let serial = serve(&spec, true, Some(0));
+            assert!(serial.outcomes.iter().all(|o| o.established));
+            let serial = observables(&serial);
+            for workers in [1, 3] {
+                let threaded = observables(&serve(&spec, true, Some(workers)));
+                assert!(
+                    threaded == serial,
+                    "{engine:?}, {} boards, {workers} workers: observables differ",
+                    spec.boards
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn worker_threads_are_one_more_visit_order() {
+        const PSK: &[u8] = b"rmc2000 shared secret";
+        let clients: Vec<GuestClient> = (0..8)
+            .map(|i| GuestClient::secure(&[format!("threads {i}").as_bytes()], PSK))
+            .collect();
+        threads_change_nothing(|engine| FleetSpec::new(engine, 8, PSK, clients.clone()));
+    }
+
+    #[test]
+    fn worker_threads_are_one_more_visit_order_under_faults() {
+        threads_change_nothing(|engine| fault_storm(engine, b"rmc2000 shared secret"));
+    }
+
+    #[test]
+    #[should_panic(expected = "board 2 firmware stopped")]
+    fn a_board_that_faults_under_workers_fails_the_epoch_fast() {
+        let (done, finished) = mpsc::channel();
+        let run = thread::spawn(move || {
+            let world = Rc::new(RefCell::new(World::new(7)));
+            let mut fleet = Fleet::new(&world);
+            fleet.force_workers(3);
+            for i in 0..4 {
+                let b = fleet.add_board(Engine::BlockCache, "spin", fleet_ip(1, i));
+                let board = fleet.board_mut(b);
+                // 0x4008: jr 0x4008, runnable every epoch. Board 2 first
+                // counts `b` down 256 times per `c` (~100 epochs), then
+                // runs into an invalid opcode and halts on it.
+                board.mem.load(0x4000, &[0x0E, 0x75, 0x10, 0xFE, 0x0D, 0x20, 0xFB, 0xC7]);
+                board.mem.load(0x4008, &[0x18, 0xFE]);
+                board.set_pc(if i == 2 { 0x4000 } else { 0x4008 });
+            }
+            fleet.board(2).errors.define(|_| dynamicc::Disposition::Halt);
+            for _ in 0..1_000 {
+                fleet.run_epoch(&[0, 1, 2, 3]);
+            }
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            // The sender is dropped by the panic: re-raise it here.
+            Err(mpsc::RecvTimeoutError::Disconnected) => match run.join() {
+                Err(payload) => panic::resume_unwind(payload),
+                Ok(()) => unreachable!("the run ended without reporting"),
+            },
+            Ok(()) => panic!("the faulting board went unnoticed"),
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("the epoch hung"),
+        }
+    }
+
+    /// A small random spec: 1-3 boards, up to four clients of every kind,
+    /// dead links, a stall timeout, dial spacing and a short fault plan.
+    #[derive(Debug, Clone)]
+    struct SmallSpec {
+        engine: Engine,
+        boards: usize,
+        /// (kind 0-4, tamper 0-2, message or payload length)
+        clients: Vec<(u8, u8, usize)>,
+        dead: usize,
+        stall: Option<u64>,
+        spacing: u64,
+        /// (kind 0-3, board, start)
+        fault: (u8, usize, u64),
+    }
+
+    fn small_spec() -> impl Strategy<Value = SmallSpec> {
+        (
+            (
+                any::<bool>(),
+                1..4usize,
+                proptest::collection::vec((0..5u8, 0..3u8, 1..48usize), 1..5),
+            ),
+            (0..8usize, 0..3u8, 0..20_000u64),
+            (0..4u8, 0..3usize, 0..300_000u64),
+        )
+            .prop_map(|((interp, boards, clients), (dead, stall, spacing), fault)| SmallSpec {
+                engine: if interp { Engine::Interpreter } else { Engine::BlockCache },
+                boards,
+                clients,
+                // Board b's link is dead when bit b is set; one board
+                // always stays reachable.
+                dead: dead & ((1 << (boards - 1)) - 1),
+                stall: [None, Some(60_000), Some(400_000)][usize::from(stall)],
+                spacing,
+                fault: (fault.0, fault.1 % boards, fault.2),
+            })
+    }
+
+    impl SmallSpec {
+        fn spec(&self) -> FleetSpec {
+            const PSK: &[u8] = b"rmc2000 shared secret";
+            let clients = self
+                .clients
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, tamper, len))| {
+                    let bytes: Vec<u8> =
+                        (0..len).map(|k| b'a' + ((i * 7 + k) % 26) as u8).collect();
+                    let tamper = [Tamper::None, Tamper::FlipDataMac, Tamper::TruncateAfterHeader]
+                        [usize::from(tamper)];
+                    // A complete record of any type: the guest answers
+                    // it, or closes.
+                    let record = || {
+                        let mut r = vec![1 + (len % 6) as u8, 0, (len % 24) as u8];
+                        r.extend(&bytes[..len % 24]);
+                        r
+                    };
+                    match kind {
+                        0 => GuestClient::Secure {
+                            messages: vec![bytes.clone(), bytes[..len / 2 + 1].to_vec()],
+                            psk: PSK.to_vec(),
+                            tamper,
+                        },
+                        1 => GuestClient::Plain {
+                            messages: vec![bytes],
+                        },
+                        2 => GuestClient::Raw { payload: record() },
+                        3 => GuestClient::HangUp { payload: record() },
+                        _ => GuestClient::secure(&[&bytes], b"the wrong secret"),
+                    }
+                })
+                .collect();
+            let mut spec = FleetSpec::new(self.engine, self.boards, PSK, clients);
+            spec.dead_links = (0..self.boards).filter(|b| self.dead >> b & 1 == 1).collect();
+            spec.lb_stall_timeout_us = self.stall;
+            spec.dials = (0..self.clients.len() as u64).map(|i| i * self.spacing).collect();
+            let (kind, board, at) = self.fault;
+            spec.faults = match kind {
+                0 => FaultPlan::new(),
+                1 => FaultPlan::new().flap(board, at, at + 100_000, 0.5),
+                2 => FaultPlan::new().wedge_resurrect(board, at, at + 200_000),
+                _ => FaultPlan::new().storm(
+                    board,
+                    at,
+                    at + 300_000,
+                    netsim::Corruption::mac_storm(issl::recmap::REC_DATA),
+                ),
+            };
+            spec.lb_retry_after_us = Some(150_000);
+            spec
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        // Every small spec's run returns with a terminal outcome for each
+        // client, and running its slices on workers changes nothing.
+        #[test]
+        fn small_specs_terminate_and_threads_change_nothing(small in small_spec()) {
+            let spec = small.spec();
+            let serial = serve(&spec, true, Some(0));
+            for (client, o) in spec.clients.iter().zip(&serial.outcomes) {
+                let wanted: Option<Vec<u8>> = match client {
+                    GuestClient::Secure { messages, tamper: Tamper::None, .. }
+                    | GuestClient::Plain { messages } => Some(messages.concat()),
+                    _ => None,
+                };
+                let terminal = o.error.is_some()
+                    || o.peer_closed
+                    || wanted.is_none_or(|w| o.echoed == w);
+                prop_assert!(terminal, "{small:?}: {o:?}");
+            }
+            let threaded = serve(&spec, true, Some(2));
+            prop_assert_eq!(observables(&threaded), observables(&serial), "{:?}", small);
+        }
     }
 }

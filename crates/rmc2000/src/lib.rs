@@ -37,6 +37,7 @@ pub mod faults;
 pub mod firmware;
 pub mod fleet;
 pub mod nic;
+mod pool;
 pub mod secure;
 pub mod serial;
 pub mod serve;
