@@ -81,14 +81,6 @@ impl BoardCounters {
             skip_batches: registry.counter(&format!("board{idx}.board.skip_batches"), &[]),
         }
     }
-
-    /// Free-standing counters, not attached to any registry.
-    pub fn detached() -> BoardCounters {
-        BoardCounters {
-            idle_cycles: Counter::new(),
-            skip_batches: Counter::new(),
-        }
-    }
 }
 
 /// Outcome of running firmware for a while.
@@ -154,7 +146,7 @@ impl Board {
             errors: ErrorHandler::new(),
             resets: 0,
             engine,
-            counters: BoardCounters::detached(),
+            counters: BoardCounters::register_board(&telemetry::Registry::new(), 0),
             serial_id,
             rtc_id,
             nic_id: None,
@@ -164,7 +156,7 @@ impl Board {
     /// Rebinds the board's idle-scheduler counters into `registry` as
     /// `board<idx>.board.*`, so one snapshot covers the guest-side
     /// scheduler next to the `net.*` counters. Values accumulated so far
-    /// in the detached cells are not carried over; bind before running.
+    /// are not carried over; bind before running.
     pub fn bind_telemetry_board(&mut self, registry: &telemetry::Registry, idx: usize) {
         self.counters = BoardCounters::register_board(registry, idx);
     }

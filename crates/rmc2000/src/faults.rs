@@ -74,6 +74,20 @@ pub enum FaultEvent {
     },
 }
 
+impl FaultEvent {
+    /// The board the event is addressed to.
+    pub fn board(&self) -> usize {
+        match self {
+            FaultEvent::SetDropRate { board, .. }
+            | FaultEvent::RestoreDropRate { board }
+            | FaultEvent::Wedge { board }
+            | FaultEvent::Resurrect { board }
+            | FaultEvent::StormStart { board, .. }
+            | FaultEvent::StormEnd { board } => *board,
+        }
+    }
+}
+
 /// A fault event bound to its virtual due time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledFault {

@@ -6,8 +6,9 @@
 //! dragged the clock forward whenever its board crossed a poll boundary
 //! could not scale past one board: whoever polled first would advance
 //! time under the others' feet, and every observable would become a
-//! function of host-side iteration order. [`fleet_serve`] is the one
-//! serving driver; a single-board run is a fleet of one.
+//! function of host-side iteration order. [`Serve`], stepped one epoch
+//! at a time, is the one serving driver; a single-board run is a fleet
+//! of one.
 //!
 //! # The epoch barrier
 //!
@@ -57,9 +58,10 @@
 //! split at halts and wakes — and so every decode, every cache insert,
 //! and the shared flash store's lock stay on one thread. Blocks and
 //! cache maps, the bulk of a run's allocations, all come from that
-//! thread's malloc arena; a worker's few allocations are NIC receive
-//! frames. A slice that panics on a worker is re-raised on the calling
-//! thread once every core is home.
+//! thread's malloc arena; a worker allocates only when a board's buffers
+//! (its NIC receive rings, its port log) first grow. A slice that panics
+//! on a worker is re-raised on the calling thread once every core is
+//! home.
 //!
 //! # Idle fast-forward
 //!
@@ -80,7 +82,9 @@ use rabbit::nicmap::MAX_CONNS;
 use rabbit::{CacheStats, Engine, Firmware, IoSpace};
 use telemetry::{ProfileReport, SymbolTable};
 
-use netsim::{Endpoint, Ipv4, LinkId, LinkParams, LoadBalancer, Recv, SimHost, SocketId, World};
+use netsim::{
+    Endpoint, Ipv4, LinkId, LinkParams, LoadBalancer, Recv, SimHost, SocketId, World, SEND_BUFFER,
+};
 
 pub use netsim::{BackendStats, LbPolicy};
 
@@ -505,13 +509,8 @@ impl Fleet {
     ///
     /// If a board's firmware stops for any reason other than halting.
     pub fn run_epoch(&mut self, order: &[usize]) {
-        debug_assert_eq!(
-            {
-                let mut o = order.to_vec();
-                o.sort_unstable();
-                o
-            },
-            (0..self.slots.len()).collect::<Vec<_>>(),
+        debug_assert!(
+            is_permutation(order, self.slots.len()),
             "order visits every board exactly once"
         );
         self.run_world(EPOCH_US);
@@ -812,65 +811,36 @@ pub struct FleetRun {
 struct FaultDriver {
     events: Vec<ScheduledFault>,
     next: usize,
+    /// Each board's balancer link and its drop rate outside faults.
+    links: Vec<(LinkId, f64)>,
     report: FaultReport,
 }
 
 impl FaultDriver {
-    fn new(plan: &FaultPlan, boards: usize) -> FaultDriver {
-        let events = plan.compiled();
-        for e in &events {
-            let b = match &e.event {
-                FaultEvent::SetDropRate { board, .. }
-                | FaultEvent::RestoreDropRate { board }
-                | FaultEvent::Wedge { board }
-                | FaultEvent::Resurrect { board }
-                | FaultEvent::StormStart { board, .. }
-                | FaultEvent::StormEnd { board } => *board,
-            };
-            assert!(b < boards, "fault plan names board {b} of {boards}");
-        }
-        FaultDriver {
-            events,
-            next: 0,
-            report: FaultReport::default(),
-        }
-    }
-
-    /// Due time of the next unapplied event — a fast-forward bound, so
-    /// a fleet-wide idle skip never jumps a fault.
-    fn next_due_us(&self) -> Option<u64> {
-        self.events.get(self.next).map(|e| e.at_us)
-    }
-
-    /// Applies every event due at or before the world's current time.
-    fn apply_due(
-        &mut self,
-        fleet: &mut Fleet,
-        world: &Rc<RefCell<World>>,
-        links: &[LinkId],
-        dead_links: &[usize],
-    ) {
+    /// Applies every event due by the fleet world's current time.
+    fn apply_due(&mut self, fleet: &mut Fleet) {
+        let world = Rc::clone(&fleet.world);
         let now = world.borrow().now();
-        while self.next < self.events.len() && self.events[self.next].at_us <= now {
-            let ev = self.events[self.next].clone();
+        while let Some(ev) = self.events.get(self.next).filter(|e| e.at_us <= now) {
             self.next += 1;
-            let base = |board: &usize| if dead_links.contains(board) { 1.0 } else { 0.0 };
+            let board = ev.event.board();
+            let (link, base) = self.links[board];
             let what = match &ev.event {
-                FaultEvent::SetDropRate { board, rate } => {
-                    world.borrow_mut().set_drop_rate(links[*board], *rate);
+                FaultEvent::SetDropRate { rate, .. } => {
+                    world.borrow_mut().set_drop_rate(link, *rate);
                     format!("flap board{board} drop_rate={rate}")
                 }
-                FaultEvent::RestoreDropRate { board } => {
-                    world.borrow_mut().set_drop_rate(links[*board], base(board));
-                    format!("restore board{board} drop_rate={}", base(board))
+                FaultEvent::RestoreDropRate { .. } => {
+                    world.borrow_mut().set_drop_rate(link, base);
+                    format!("restore board{board} drop_rate={base}")
                 }
-                FaultEvent::Wedge { board } => {
+                FaultEvent::Wedge { .. } => {
                     // Freeze the epochs AND black out the link: the
                     // host-side TCP stack would otherwise answer SYNs
                     // for the frozen board and hide the wedge from the
                     // balancer's connect timeout.
-                    fleet.wedge(*board);
-                    world.borrow_mut().set_drop_rate(links[*board], 1.0);
+                    fleet.wedge(board);
+                    world.borrow_mut().set_drop_rate(link, 1.0);
                     let snap = world.borrow().telemetry().snapshot().to_text();
                     let prefix = format!("board{board}.net.board.");
                     let frozen: String = snap
@@ -878,22 +848,20 @@ impl FaultDriver {
                         .filter(|l| l.starts_with(&prefix))
                         .map(|l| format!("{l}\n"))
                         .collect();
-                    self.report.wedge_snapshots.push((*board, frozen));
+                    self.report.wedge_snapshots.push((board, frozen));
                     format!("wedge board{board}")
                 }
-                FaultEvent::Resurrect { board } => {
-                    fleet.resurrect(*board);
-                    world.borrow_mut().set_drop_rate(links[*board], base(board));
+                FaultEvent::Resurrect { .. } => {
+                    fleet.resurrect(board);
+                    world.borrow_mut().set_drop_rate(link, base);
                     format!("resurrect board{board}")
                 }
-                FaultEvent::StormStart { board, spec } => {
-                    world
-                        .borrow_mut()
-                        .set_corruption(links[*board], Some(spec.clone()));
+                FaultEvent::StormStart { spec, .. } => {
+                    world.borrow_mut().set_corruption(link, Some(spec.clone()));
                     format!("storm board{board} armed")
                 }
-                FaultEvent::StormEnd { board } => {
-                    world.borrow_mut().set_corruption(links[*board], None);
+                FaultEvent::StormEnd { .. } => {
+                    world.borrow_mut().set_corruption(link, None);
                     format!("storm board{board} cleared")
                 }
             };
@@ -906,283 +874,315 @@ impl FaultDriver {
     }
 }
 
-/// Runs `spec.boards` boards behind a simulated TCP load balancer
-/// against `spec.clients` concurrent host-side clients. Every
-/// observable is a deterministic function of the spec — identical on
-/// both engines, under any per-epoch board visit order, and whether or
-/// not board slices run on worker threads.
-///
-/// # Panics
-///
-/// If the spec is malformed (no boards, more than 255 boards or
-/// clients, a `dials` list of the wrong length, a visit order that is
-/// not a permutation of the boards, a dead link naming no board) —
-/// checked before any work — or if a board's firmware faults or the
-/// session does not converge.
-pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
-    serve(spec, true, None)
+const MAX_EPOCHS: u64 = 4_000_000; // 200 virtual seconds
+const FF_CHUNK: u64 = 200; // 10ms of skipped idle per decision
+
+/// The phase the next [`Serve::step`] runs one epoch of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServePhase {
+    /// Until every board is parked in its idle loop.
+    Boot,
+    /// Until every client is done.
+    Serving,
+    /// `left` more epochs, for FINs to propagate and guests to close.
+    Teardown { left: u32 },
 }
 
-/// [`fleet_serve`]; `share_image` false gives every board a private
-/// firmware image, the baseline the sharing oracle compares against, and
-/// `workers` runs every epoch with a runnable board on that many worker
-/// threads, whatever the host's cores (more workers than cores is fine).
-fn serve(spec: &FleetSpec, share_image: bool, workers: Option<usize>) -> FleetRun {
-    assert!(spec.boards >= 1, "a fleet has at least one board");
-    assert!(
-        spec.dials.is_empty() || spec.dials.len() == spec.clients.len(),
-        "one dial time per client"
-    );
-    for order in &spec.orders {
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
+/// One [`fleet_serve`] run as a value: [`Serve::new`], [`Serve::step`]
+/// until it returns false, then [`Serve::finish`].
+pub struct Serve<'s> {
+    spec: &'s FleetSpec,
+    build: dcc::Build,
+    fleet: Fleet,
+    lb: LoadBalancer,
+    faults: FaultDriver,
+    clients: Vec<FleetClient>,
+    server: Endpoint,
+    /// Per-epoch board visit orders, cycled: the spec's, or index order.
+    orders: Vec<Vec<usize>>,
+    /// Each board's next probe time; empty without probes.
+    next_probe: Vec<u64>,
+    /// The earliest dial time of a client that has not dialed yet.
+    next_dial: u64,
+    phase: ServePhase,
+}
+
+impl<'s> Serve<'s> {
+    /// Checks `spec`, builds the firmware and wires boards, balancer and
+    /// clients into one world.
+    ///
+    /// # Panics
+    ///
+    /// If the spec is malformed (no boards, more than 255 boards or
+    /// clients, a `dials` list of the wrong length, a visit order that is
+    /// not a permutation of the boards, a dead link or fault naming no
+    /// board, a client message or payload over [`netsim::SEND_BUFFER`],
+    /// a PSK over 64 bytes) — checked before any work.
+    pub fn new(spec: &'s FleetSpec) -> Serve<'s> {
+        Serve::with(spec, true, None)
+    }
+
+    /// [`Serve::new`] for the oracles: `share_image` false gives each board
+    /// a private image; `workers` puts every busy epoch on that many threads.
+    fn with(spec: &'s FleetSpec, share_image: bool, workers: Option<usize>) -> Serve<'s> {
+        assert!(spec.boards >= 1, "a fleet has at least one board");
         assert!(
-            sorted.into_iter().eq(0..spec.boards),
-            "visit order {order:?} is not a permutation of {} boards",
-            spec.boards
+            spec.dials.is_empty() || spec.dials.len() == spec.clients.len(),
+            "one dial time per client"
         );
-    }
-    if let Some(b) = spec.dead_links.iter().find(|&&b| b >= spec.boards) {
-        panic!("dead link names board {b} of {}", spec.boards);
-    }
-    let board_ips: Vec<Ipv4> = (0..spec.boards).map(|i| fleet_ip(1, i)).collect();
-    let client_ips: Vec<Ipv4> = (0..spec.clients.len()).map(|i| fleet_ip(2, i)).collect();
-    let (build, port) = match &spec.firmware {
-        FleetFirmware::PlainEcho => (build_serve_firmware(spec.opts), SERVE_PORT),
-        FleetFirmware::SecureEcho { .. } => (build_secure_firmware(spec.opts), SECURE_PORT),
-    };
-
-    // One image for the whole fleet: every board reads the same flash
-    // and replays the blocks any of them decoded from it.
-    let firmware = Firmware::new(&build.image);
-
-    let world = Rc::new(RefCell::new(World::new(42)));
-    let mut fleet = Fleet::new(&world);
-    if let Some(n) = workers {
-        fleet.force_workers(n);
-    }
-    for (i, &ip) in board_ips.iter().enumerate() {
-        let b = fleet.add_board(spec.engine, &format!("rmc2000-{i}"), ip);
-        let board = fleet.board_mut(b);
-        if share_image {
-            firmware.load_into(&mut board.mem);
-        } else {
-            board.load(&build.image);
+        for order in &spec.orders {
+            assert!(
+                is_permutation(order, spec.boards),
+                "visit order {order:?} is not a permutation of {} boards",
+                spec.boards
+            );
         }
-        board.set_pc(dcc::layout::CODE_ORG);
-        if spec.profile {
-            board.cpu.enable_profiler();
+        if let Some(b) = spec.dead_links.iter().find(|&&b| b >= spec.boards) {
+            panic!("dead link names board {b} of {}", spec.boards);
+        }
+        let events = spec.faults.compiled();
+        if let Some(b) = events.iter().map(|e| e.event.board()).find(|&b| b >= spec.boards) {
+            panic!("fault plan names board {b} of {}", spec.boards);
+        }
+        for (i, client) in spec.clients.iter().enumerate() {
+            // Each message or payload goes to the socket in one send.
+            let sends = match client {
+                GuestClient::Plain { messages } => &messages[..],
+                GuestClient::Raw { payload } | GuestClient::HangUp { payload } => {
+                    std::slice::from_ref(payload)
+                }
+                GuestClient::Secure { .. } => &[],
+            };
+            if let Some(n) = sends.iter().map(Vec::len).find(|&n| n > SEND_BUFFER) {
+                panic!("client {i} sends {n} bytes at once; the send buffer holds {SEND_BUFFER}");
+            }
         }
         if let FleetFirmware::SecureEcho { psk } = &spec.firmware {
             assert!(psk.len() <= 64, "guest PSK buffer is 64 bytes");
-            let psk_phys = build.symbol_phys("_psk").expect("C global `psk`");
-            board.mem.load(psk_phys, psk);
-            let psklen_phys = build.symbol_phys("_psklen").expect("C global `psklen`");
-            board
-                .mem
-                .load(psklen_phys, &(psk.len() as u16).to_le_bytes());
         }
-    }
-
-    let mut lb = LoadBalancer::attach(
-        &world,
-        "lb",
-        Ipv4::new(10, 0, 0, 250),
-        port,
-        64,
-        spec.policy,
-    );
-    // Each board owns MAX_CONNS connection handles; clients beyond the
-    // fleet-wide capacity wait at the balancer, not in a board backlog
-    // (where the connect-timeout health check would misread a busy
-    // board as a dead one).
-    lb.set_max_inflight(Some(MAX_CONNS));
-    lb.set_retry_after_us(spec.lb_retry_after_us);
-    lb.set_stall_timeout_us(spec.lb_stall_timeout_us);
-    let mut board_links: Vec<LinkId> = Vec::with_capacity(spec.boards);
-    for i in 0..spec.boards {
-        let link = if spec.dead_links.contains(&i) {
-            LinkParams::ethernet_10base_t().with_drop_rate(1.0)
-        } else {
-            LinkParams::ethernet_10base_t()
+        let board_ips: Vec<Ipv4> = (0..spec.boards).map(|i| fleet_ip(1, i)).collect();
+        let client_ips: Vec<Ipv4> = (0..spec.clients.len()).map(|i| fleet_ip(2, i)).collect();
+        let (build, port) = match &spec.firmware {
+            FleetFirmware::PlainEcho => (build_serve_firmware(spec.opts), SERVE_PORT),
+            FleetFirmware::SecureEcho { .. } => (build_secure_firmware(spec.opts), SECURE_PORT),
         };
-        let board_host = fleet.host(i).id();
-        board_links.push(world.borrow_mut().link(lb.host().id(), board_host, link));
-        lb.add_backend(Endpoint::new(fleet.ip(i), port));
+
+        // One image for the whole fleet: every board reads the same flash
+        // and replays the blocks any of them decoded from it.
+        let firmware = Firmware::new(&build.image);
+
+        let world = Rc::new(RefCell::new(World::new(42)));
+        let mut fleet = Fleet::new(&world);
+        if let Some(n) = workers {
+            fleet.force_workers(n);
+        }
+        for (i, &ip) in board_ips.iter().enumerate() {
+            let b = fleet.add_board(spec.engine, &format!("rmc2000-{i}"), ip);
+            let board = fleet.board_mut(b);
+            if share_image {
+                firmware.load_into(&mut board.mem);
+            } else {
+                board.load(&build.image);
+            }
+            board.set_pc(dcc::layout::CODE_ORG);
+            if spec.profile {
+                board.cpu.enable_profiler();
+            }
+            if let FleetFirmware::SecureEcho { psk } = &spec.firmware {
+                let psk_phys = build.symbol_phys("_psk").expect("C global `psk`");
+                board.mem.load(psk_phys, psk);
+                let psklen_phys = build.symbol_phys("_psklen").expect("C global `psklen`");
+                board.mem.load(psklen_phys, &(psk.len() as u16).to_le_bytes());
+            }
+        }
+
+        let lb_ip = Ipv4::new(10, 0, 0, 250);
+        let mut lb = LoadBalancer::attach(&world, "lb", lb_ip, port, 64, spec.policy);
+        // Each board owns MAX_CONNS connection handles; clients beyond the
+        // fleet-wide capacity wait at the balancer, not in a board backlog
+        // (where the connect-timeout health check would misread a busy
+        // board as a dead one).
+        lb.set_max_inflight(Some(MAX_CONNS));
+        lb.set_retry_after_us(spec.lb_retry_after_us);
+        lb.set_stall_timeout_us(spec.lb_stall_timeout_us);
+        let mut links = Vec::with_capacity(spec.boards);
+        for i in 0..spec.boards {
+            let base = if spec.dead_links.contains(&i) { 1.0 } else { 0.0 };
+            let params = LinkParams::ethernet_10base_t().with_drop_rate(base);
+            let board_host = fleet.host(i).id();
+            links.push((world.borrow_mut().link(lb.host().id(), board_host, params), base));
+            lb.add_backend(Endpoint::new(fleet.ip(i), port));
+        }
+
+        // Clients dial the balancer's front address at their scheduled
+        // times (everyone immediately, in the legacy no-dials shape).
+        let clients: Vec<FleetClient> = client_ips
+            .iter()
+            .zip(&spec.clients)
+            .enumerate()
+            .map(|(i, (&ip, client))| {
+                let host = SimHost::attach(&world, "client", ip);
+                world
+                    .borrow_mut()
+                    .link(lb.host().id(), host.id(), LinkParams::ethernet_10base_t());
+                let dial_at = spec.dials.get(i).copied().unwrap_or(0);
+                FleetClient::new(i, client, host, dial_at)
+            })
+            .collect();
+        let orders = if spec.orders.is_empty() {
+            vec![(0..spec.boards).collect()]
+        } else {
+            spec.orders.clone()
+        };
+        Serve {
+            spec,
+            build,
+            fleet,
+            server: Endpoint::new(lb.host().ip(), port),
+            lb,
+            faults: FaultDriver {
+                events,
+                next: 0,
+                links,
+                report: FaultReport::default(),
+            },
+            clients,
+            orders,
+            next_probe: spec.probe_gap_us.map_or(Vec::new(), |gap| vec![gap; spec.boards]),
+            next_dial: 0,
+            phase: ServePhase::Boot,
+        }
     }
 
-    // Clients dial the balancer's front address at their scheduled
-    // times (everyone immediately, in the legacy no-dials shape).
-    let mut clients: Vec<FleetClient> = client_ips
-        .iter()
-        .zip(&spec.clients)
-        .enumerate()
-        .map(|(i, (&ip, client))| {
-            let host = SimHost::attach(&world, "client", ip);
-            world
-                .borrow_mut()
-                .link(lb.host().id(), host.id(), LinkParams::ethernet_10base_t());
-            let dial_at = spec.dials.get(i).copied().unwrap_or(0);
-            FleetClient::new(i, client, host, dial_at)
-        })
-        .collect();
-    let server = Endpoint::new(lb.host().ip(), port);
-
-    let identity: Vec<usize> = (0..spec.boards).collect();
-    let order_at = |e: u64| visit_order(&spec.orders, &identity, e);
-
-    let mut faults = FaultDriver::new(&spec.faults, spec.boards);
-
-    // Boot: every board's main seeds its state, configures serial + NIC,
-    // and parks in idle().
-    let mut boot_epochs = 0u64;
-    loop {
-        fleet.run_epoch(order_at(fleet.epochs()));
-        faults.apply_due(&mut fleet, &world, &board_links, &spec.dead_links);
-        boot_epochs += 1;
-        if fleet.all_parked() {
-            break;
-        }
-        assert!(boot_epochs < 2_000, "fleet firmware boots");
+    /// The phase the next [`Serve::step`] runs.
+    pub fn phase(&self) -> ServePhase {
+        self.phase
     }
 
-    const MAX_EPOCHS: u64 = 4_000_000; // 200 virtual seconds
-    const FF_CHUNK: u64 = 200; // 10ms of skipped idle per decision
-
-    let mut next_probe: Vec<u64> = vec![spec.probe_gap_us.unwrap_or(0); spec.boards];
-    // The earliest dial time of a client that has not dialed yet: the
-    // client list is walked for dials only when one is due.
-    let mut next_dial = 0;
-
-    loop {
-        let now = world.borrow().now();
-        if now >= next_dial {
-            let pending = clients.iter_mut().filter_map(|c| c.dial_if_due(now, server));
-            next_dial = pending.min().unwrap_or(u64::MAX);
-        }
-        if clients.iter().all(|c| c.done) {
-            break;
-        }
-        assert!(
-            fleet.epochs() < MAX_EPOCHS,
-            "fleet serve session did not converge"
-        );
-        fleet.run_epoch(order_at(fleet.epochs()));
-        faults.apply_due(&mut fleet, &world, &board_links, &spec.dead_links);
-        lb.pump();
-
-        if let Some(gap) = spec.probe_gap_us {
-            // Probes only against a parked board: the injection point is
-            // then a deterministic function of virtual time, identical
-            // on both engines and under any visit order.
-            let now = world.borrow().now();
-            for (i, due) in next_probe.iter_mut().enumerate() {
-                // A wedged board is parked but must not accumulate a
-                // backlog of probe bytes to replay on resurrection; its
-                // probe clock keeps ticking, it just skips the injects.
-                let wedged = fleet.state(i) == BoardState::Wedged;
-                if now >= *due && fleet.parked(i) {
-                    if !wedged {
-                        fleet.board_mut(i).serial_mut().inject(SERIAL_PROBE);
-                    }
-                    *due = now + gap;
+    /// Runs one driver iteration: an epoch, the faults due by its end and,
+    /// after boot, a balancer pump. Serving first dials the clients that
+    /// are due, or turns to teardown once all are done; after its epoch it
+    /// probes parked boards, steps the clients and fast-forwards fleet-wide
+    /// idle time. Returns false once the last teardown epoch has run.
+    ///
+    /// # Panics
+    ///
+    /// If a board's firmware faults, the boards do not park within 2,000
+    /// boot epochs, or the session does not converge within 200 virtual
+    /// seconds.
+    pub fn step(&mut self) -> bool {
+        match self.phase {
+            ServePhase::Teardown { left: 0 } => return false,
+            ServePhase::Serving => {
+                let now = self.fleet.world.borrow().now();
+                if now >= self.next_dial {
+                    let dials = self.clients.iter_mut().map(|c| c.dial_if_due(now, self.server));
+                    self.next_dial = dials.flatten().min().unwrap_or(u64::MAX);
+                }
+                if self.clients.iter().all(|c| c.done) {
+                    self.phase = ServePhase::Teardown { left: 150 };
+                } else {
+                    let epochs = self.fleet.epochs();
+                    assert!(epochs < MAX_EPOCHS, "fleet serve session did not converge");
                 }
             }
+            ServePhase::Boot | ServePhase::Teardown { .. } => {}
         }
 
-        for c in clients.iter_mut().filter(|c| c.is_live()) {
-            c.step();
+        let epoch = usize::try_from(self.fleet.epochs()).expect("few epochs");
+        self.fleet.run_epoch(&self.orders[epoch % self.orders.len()]);
+        self.faults.apply_due(&mut self.fleet);
+        if self.phase != ServePhase::Boot {
+            self.lb.pump();
         }
 
-        // Fleet-wide idle skip, held short of the next probe due-time,
-        // the next scheduled fault and the next client dial, so none of
-        // those schedules is disturbed.
-        let mut bound = FF_CHUNK;
-        {
-            let now = world.borrow().now();
-            let mut soonest = u64::MAX;
-            if spec.probe_gap_us.is_some() {
-                soonest = soonest.min(next_probe.iter().copied().min().unwrap_or(u64::MAX));
+        match self.phase {
+            ServePhase::Boot if self.fleet.all_parked() => self.phase = ServePhase::Serving,
+            ServePhase::Boot => {
+                assert!(self.fleet.epochs() < 2_000, "fleet firmware boots");
             }
-            if let Some(t) = faults.next_due_us() {
-                soonest = soonest.min(t);
+            ServePhase::Serving => {
+                // Probes only against a parked board: the injection point
+                // is then a function of virtual time alone.
+                let now = self.fleet.world.borrow().now();
+                let gap = self.spec.probe_gap_us.unwrap_or(0);
+                for (i, due) in self.next_probe.iter_mut().enumerate() {
+                    if now >= *due && self.fleet.parked(i) {
+                        // A wedged board keeps its probe clock but takes no
+                        // probe bytes, which it would replay on resurrection.
+                        if self.fleet.state(i) != BoardState::Wedged {
+                            self.fleet.board_mut(i).serial_mut().inject(SERIAL_PROBE);
+                        }
+                        *due = now + gap;
+                    }
+                }
+                // Stepping only live clients keeps a long idle run cheap.
+                for c in self.clients.iter_mut().filter(|c| c.is_live()) {
+                    c.step();
+                }
+                let bound = FF_CHUNK.min(self.next_due().saturating_sub(now) / EPOCH_US);
+                if bound > 0 {
+                    self.fleet.fast_forward(bound);
+                }
             }
-            soonest = soonest.min(next_dial);
-            if soonest != u64::MAX {
-                bound = if soonest > now {
-                    bound.min((soonest - now) / EPOCH_US)
-                } else {
-                    0
-                };
-            }
+            ServePhase::Teardown { left } => self.phase = ServePhase::Teardown { left: left - 1 },
         }
-        if bound > 0 {
-            fleet.fast_forward(bound);
-        }
+        self.phase != ServePhase::Teardown { left: 0 }
     }
 
-    // Orderly teardown: FINs propagate through the balancer, the guests
-    // observe them and free their handles. Late plan events (a
-    // resurrection scheduled past the last echo) still apply.
-    for _ in 0..150 {
-        fleet.run_epoch(order_at(fleet.epochs()));
-        faults.apply_due(&mut fleet, &world, &board_links, &spec.dead_links);
-        lb.pump();
+    /// The soonest next probe, fault or dial (`u64::MAX` for none): an
+    /// idle skip stops short of it, so none of those schedules moves.
+    fn next_due(&self) -> u64 {
+        let fault = self.faults.events.get(self.faults.next).map(|e| e.at_us);
+        self.next_probe.iter().copied().chain(fault).fold(self.next_dial, u64::min)
     }
 
-    let read_arr = |board: &Board, name: &str, idx: usize| -> u16 {
-        let phys = build.symbol_phys(name).expect("C global exists") + 2 * idx as u32;
-        u16::from_le_bytes([board.mem.read_phys(phys), board.mem.read_phys(phys + 1)])
-    };
-
-    let reports: Vec<BoardReport> = (0..spec.boards)
-        .map(|i| {
-            let profile = fleet
-                .board_mut(i)
-                .cpu
-                .take_profiler()
-                .map(|p| p.report(&guest_symbols(&build)));
-            let board = fleet.board(i);
-            let conns = match &spec.firmware {
-                FleetFirmware::PlainEcho => Vec::new(),
-                FleetFirmware::SecureEcho { .. } => (0..MAX_CONNS)
+    /// The run's reports, as far as it has got (all of it once
+    /// [`Serve::step`] has returned false).
+    pub fn finish(self) -> FleetRun {
+        let build = &self.build;
+        let read_arr = |board: &Board, name: &str, idx: usize| -> u16 {
+            let phys = build.symbol_phys(name).expect("C global exists") + 2 * idx as u32;
+            u16::from_le_bytes([board.mem.read_phys(phys), board.mem.read_phys(phys + 1)])
+        };
+        let secure = matches!(self.spec.firmware, FleetFirmware::SecureEcho { .. });
+        let mut fleet = self.fleet;
+        let reports: Vec<BoardReport> = (0..self.spec.boards)
+            .map(|i| {
+                let profiler = fleet.board_mut(i).cpu.take_profiler();
+                let board = fleet.board(i);
+                // Plain echo keeps no per-handle or alert counters.
+                let handles = if secure { MAX_CONNS } else { 0 };
+                let conns = (0..handles)
                     .map(|h| ConnCounters {
                         handshakes: read_arr(board, "_hs_ok", h),
                         records_in: read_arr(board, "_rec_in", h),
                         records_out: read_arr(board, "_rec_out", h),
                         alerts: read_arr(board, "_alerts", h),
                     })
-                    .collect(),
-            };
-            let alert_kinds = match &spec.firmware {
-                FleetFirmware::PlainEcho => [0; 3],
-                FleetFirmware::SecureEcho { .. } => [
-                    read_arr(board, "_alert_kind", 0),
-                    read_arr(board, "_alert_kind", 1),
-                    read_arr(board, "_alert_kind", 2),
-                ],
-            };
-            BoardReport {
-                label: format!("board{i}"),
-                cycles: board.cpu.cycles,
-                instructions: board.cpu.instructions,
-                accepts: read_arr(board, "_naccepts", 0),
-                open: read_arr(board, "_nopen", 0),
-                conns,
-                alert_kinds,
-                serial_tx: board.serial().transmitted().to_vec(),
-                profile,
-                cache: board.mem.cache_stats(),
-            }
-        })
-        .collect();
+                    .collect();
+                let alert_kinds =
+                    [0, 1, 2].map(|k| if secure { read_arr(board, "_alert_kind", k) } else { 0 });
+                BoardReport {
+                    label: format!("board{i}"),
+                    cycles: board.cpu.cycles,
+                    instructions: board.cpu.instructions,
+                    accepts: read_arr(board, "_naccepts", 0),
+                    open: read_arr(board, "_nopen", 0),
+                    conns,
+                    alert_kinds,
+                    serial_tx: board.serial().transmitted().to_vec(),
+                    profile: profiler.map(|p| p.report(&guest_symbols(build))),
+                    cache: board.mem.cache_stats(),
+                }
+            })
+            .collect();
 
-    // Publish the guests' counters into the shared registry under their
-    // board namespaces, so the snapshot carries handshake, record and
-    // alert counts per handle.
-    {
-        let w = world.borrow();
-        let reg = w.telemetry();
+        // Publish the guests' counters into the shared registry under their
+        // board namespaces, so the snapshot carries handshake, record and
+        // alert counts per handle.
+        let world = fleet.world.borrow();
+        let reg = world.telemetry();
         for r in &reports {
             for (h, c) in r.conns.iter().enumerate() {
                 let hl = h.to_string();
@@ -1203,35 +1203,47 @@ fn serve(spec: &FleetSpec, share_image: bool, workers: Option<usize>) -> FleetRu
                 }
             }
         }
-    }
 
-    let snapshot = world.borrow().telemetry().snapshot().to_text();
-    let virtual_us = world.borrow().now();
-    let outcomes: Vec<ClientOutcome> = clients.into_iter().map(FleetClient::into_outcome).collect();
-    let echoed_bytes = outcomes.iter().map(|o| o.echoed.len() as u64).sum();
-    faults.report.corrupted_frames = world.borrow().stats.corrupted.get();
-    faults.report.failover_latencies_us = lb.failover_latencies_us().to_vec();
-    FleetRun {
-        outcomes,
-        boards: reports,
-        backends: lb.backend_stats(),
-        epochs: fleet.epochs(),
-        virtual_us,
-        echoed_bytes,
-        snapshot,
-        code_size: build.code_size(),
-        faults: faults.report,
+        let outcomes: Vec<ClientOutcome> =
+            self.clients.into_iter().map(FleetClient::into_outcome).collect();
+        let mut faults = self.faults.report;
+        faults.corrupted_frames = world.stats.corrupted.get();
+        faults.failover_latencies_us = self.lb.failover_latencies_us().to_vec();
+        FleetRun {
+            echoed_bytes: outcomes.iter().map(|o| o.echoed.len() as u64).sum(),
+            outcomes,
+            boards: reports,
+            backends: self.lb.backend_stats(),
+            epochs: fleet.epochs(),
+            virtual_us: world.now(),
+            snapshot: reg.snapshot().to_text(),
+            code_size: build.code_size(),
+            faults,
+        }
     }
 }
 
-/// The board visit order for `epoch`: `orders` cycled, or index order
-/// when there are none.
-fn visit_order<'a>(orders: &'a [Vec<usize>], identity: &'a [usize], epoch: u64) -> &'a [usize] {
-    if orders.is_empty() {
-        identity
-    } else {
-        &orders[usize::try_from(epoch).expect("few epochs") % orders.len()]
-    }
+/// Runs `spec.boards` boards behind a simulated TCP load balancer
+/// against `spec.clients` concurrent host-side clients, as one [`Serve`].
+/// Every observable is a deterministic function of the spec — identical
+/// on both engines, under any per-epoch board visit order, and whether or
+/// not board slices run on worker threads.
+///
+/// # Panics
+///
+/// If the spec is malformed ([`Serve::new`]), or if a board's firmware
+/// faults or the session does not converge ([`Serve::step`]).
+pub fn fleet_serve(spec: &FleetSpec) -> FleetRun {
+    let mut serve = Serve::new(spec);
+    while serve.step() {}
+    serve.finish()
+}
+
+/// Whether `order` names each of `0..n` exactly once.
+fn is_permutation(order: &[usize], n: usize) -> bool {
+    let mut sorted = order.to_vec();
+    sorted.sort_unstable();
+    sorted.into_iter().eq(0..n)
 }
 
 /// Fleet host `i` on `10.0.<subnet>.0/24`: `10.0.<subnet>.<i + 1>`.
@@ -1282,6 +1294,13 @@ mod tests {
             .collect()
     }
 
+    /// [`fleet_serve`] with the image sharing and worker count set.
+    fn serve(spec: &FleetSpec, share_image: bool, workers: Option<usize>) -> FleetRun {
+        let mut serve = Serve::with(spec, share_image, workers);
+        while serve.step() {}
+        serve.finish()
+    }
+
     #[test]
     fn two_board_fleet_serves_plain_echo() {
         let mut spec = FleetSpec::new(Engine::Interpreter, 2, b"", echo_clients(4));
@@ -1307,6 +1326,81 @@ mod tests {
     fn client_255_is_refused_before_boot() {
         let spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(256));
         let _ = fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "client 0 sends 70000 bytes at once; the send buffer holds 65536")]
+    fn oversized_client_send_is_refused_before_boot() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 1, b"", Vec::new());
+        spec.firmware = FleetFirmware::PlainEcho;
+        spec.clients = vec![GuestClient::Plain {
+            messages: vec![vec![b'x'; 70_000]],
+        }];
+        let _ = fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "client 1 sends 65537 bytes at once")]
+    fn oversized_raw_payload_is_refused_before_boot() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(1));
+        spec.clients.push(GuestClient::HangUp {
+            payload: vec![1; SEND_BUFFER + 1],
+        });
+        let _ = fleet_serve(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan names board 2 of 2")]
+    fn fault_past_the_fleet_is_refused_before_boot() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 2, b"", echo_clients(1));
+        spec.faults = FaultPlan::new().wedge(2, 1_000);
+        let _ = fleet_serve(&spec);
+    }
+
+    /// The phase boundaries [`Serve::step`] encodes, on one plain board: a
+    /// dial time inside boot dials when boot ends, and a fault due inside
+    /// boot applies during boot, at the first barrier at or after its
+    /// due time.
+    #[test]
+    fn boot_holds_dials_to_its_end_and_applies_due_faults() {
+        let mut spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(1));
+        spec.firmware = FleetFirmware::PlainEcho;
+        spec.dials = vec![0];
+        let mut boot = Serve::new(&spec);
+        while boot.phase() == ServePhase::Boot {
+            assert!(boot.step());
+        }
+        let boot_us = boot.fleet.world.borrow().now();
+
+        let at_zero = observables(&fleet_serve(&spec));
+        for dial in [1, boot_us - 1, boot_us] {
+            let mut inside = spec.clone();
+            inside.dials = vec![dial];
+            assert!(observables(&fleet_serve(&inside)) == at_zero, "dial at {dial} us");
+        }
+
+        // Due 7 us into boot's last epoch.
+        let mut faulted = spec.clone();
+        let at_us = boot_us - EPOCH_US + 7;
+        faulted.faults = FaultPlan::new().storm(
+            0,
+            at_us,
+            at_us + 1,
+            netsim::Corruption::mac_storm(issl::recmap::REC_DATA),
+        );
+        let mut serve = Serve::new(&faulted);
+        while serve.phase() == ServePhase::Boot {
+            serve.step();
+        }
+        assert_eq!(serve.fleet.world.borrow().now(), boot_us, "the fault does not move boot");
+        let applied = &serve.faults.report.applied;
+        assert_eq!(applied.len(), 2, "{applied:?}");
+        for a in applied {
+            assert!(a.applied_us >= a.at_us && a.applied_us - a.at_us < EPOCH_US, "{a:?}");
+        }
+        while serve.step() {}
+        let run = serve.finish();
+        assert_eq!(run.outcomes[0].echoed, b"fleet echo 0");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! windows. The [`fleet::Fleet`] scheduler owns the `netsim` world's
 //! clock, advances every board in lockstep epochs and exchanges each
 //! NIC's port at the barrier, so boards and network share one
-//! deterministic timeline. [`fleet_serve`] is the one serving driver:
-//! compiled-C firmware ([`serve`], [`secure`]) on one or more boards
-//! behind a load balancer, against host-side clients.
+//! deterministic timeline. [`Serve`] (run whole by [`fleet_serve`]) is
+//! the one serving driver: compiled-C firmware ([`serve`], [`secure`]) on
+//! one or more boards behind a load balancer, against host-side clients.
 //!
 //! ```
 //! use rmc2000::{Board, RunOutcome};
@@ -46,7 +46,7 @@ pub use board::{Board, BoardCounters, Rtc, RunOutcome};
 pub use faults::{AppliedFault, FaultEvent, FaultPlan, FaultReport, ScheduledFault};
 pub use fleet::{
     fleet_serve, BackendStats, BoardReport, BoardState, Fleet, FleetFirmware, FleetRun, FleetSpec,
-    LbPolicy, EPOCH_CYCLES, EPOCH_US,
+    LbPolicy, Serve, ServePhase, EPOCH_CYCLES, EPOCH_US,
 };
 pub use nic::{Nic, NicCounters, NicPort, PortCmd, PortConn, NIC_VECTOR};
 pub use secure::{

@@ -218,8 +218,8 @@ impl NicPort {
     }
 
     /// Retries `handle`'s unsent bytes, then takes its next frame (at
-    /// most [`FRAME_MAX`] bytes), if any.
-    fn poll(&mut self, handle: usize) -> Option<Vec<u8>> {
+    /// most [`FRAME_MAX`] bytes), if any, into `frame`; returns its length.
+    fn poll(&mut self, handle: usize, frame: &mut Vec<u8>) -> Option<usize> {
         let conn = self.conns[handle].as_mut()?;
         if conn.unsent > 0 {
             conn.flush();
@@ -230,7 +230,9 @@ impl NicPort {
             return None;
         }
         self.log.push(PortCmd::Recv { handle, len });
-        Some(conn.rx.drain(..len).collect())
+        frame.clear();
+        frame.extend(conn.rx.drain(..len));
+        Some(len)
     }
 
     /// Whether no poll could act — deliver a frame, retry a send, or
@@ -305,25 +307,6 @@ impl NicCounters {
                 .collect(),
         }
     }
-
-    /// Free-standing counters, not attached to any registry.
-    pub fn detached() -> NicCounters {
-        NicCounters {
-            rx_frames: Counter::new(),
-            rx_bytes: Counter::new(),
-            tx_frames: Counter::new(),
-            tx_bytes: Counter::new(),
-            irqs: Counter::new(),
-            cmd_errors: Counter::new(),
-            conn: (0..MAX_CONNS)
-                .map(|_| ConnCounters {
-                    accepts: Counter::new(),
-                    rx_bytes: Counter::new(),
-                    tx_bytes: Counter::new(),
-                })
-                .collect(),
-        }
-    }
 }
 
 /// The NIC device.
@@ -332,6 +315,9 @@ pub struct Nic {
     counters: NicCounters,
     /// Per-handle receive rings.
     rx: Vec<VecDeque<Vec<u8>>>,
+    /// Frame buffers the rings have consumed, reused for the next frames
+    /// so that receiving allocates nothing once the rings have filled.
+    spare: Vec<Vec<u8>>,
     tx_buf: Box<[u8; FRAME_MAX]>,
     tx_len: u16,
     listen_port: u16,
@@ -355,9 +341,9 @@ const _: fn() = || {
 };
 
 impl Default for Nic {
-    /// A NIC with an empty port and detached counters.
+    /// A NIC with an empty port, counting into a registry of its own.
     fn default() -> Nic {
-        Nic::with_counters(NicCounters::detached())
+        Nic::with_counters(NicCounters::register_board(&telemetry::Registry::new(), 0))
     }
 }
 
@@ -368,6 +354,7 @@ impl Nic {
             port: NicPort::default(),
             counters,
             rx: (0..MAX_CONNS).map(|_| VecDeque::new()).collect(),
+            spare: Vec::new(),
             tx_buf: Box::new([0; FRAME_MAX]),
             tx_len: 0,
             listen_port: 7,
@@ -427,15 +414,15 @@ impl Nic {
     fn poll_port(&mut self) {
         for h in 0..MAX_CONNS {
             while self.rx[h].len() < RX_RING {
-                match self.port.poll(h) {
-                    Some(frame) => {
-                        self.counters.rx_frames.inc();
-                        self.counters.rx_bytes.add(frame.len() as u64);
-                        self.counters.conn[h].rx_bytes.add(frame.len() as u64);
-                        self.rx[h].push_back(frame);
-                    }
-                    None => break,
+                let mut frame = self.spare.pop().unwrap_or_default();
+                if self.port.poll(h, &mut frame).is_none() {
+                    self.spare.push(frame);
+                    break;
                 }
+                self.counters.rx_frames.inc();
+                self.counters.rx_bytes.add(frame.len() as u64);
+                self.counters.conn[h].rx_bytes.add(frame.len() as u64);
+                self.rx[h].push_back(frame);
             }
         }
         self.update_irq();
@@ -466,7 +453,7 @@ impl Nic {
                 self.port.send(h, &self.tx_buf[..len]);
                 true
             }
-            CMD_RX_NEXT => self.rx[h].pop_front().is_some(),
+            CMD_RX_NEXT => self.rx[h].pop_front().map(|f| self.spare.push(f)).is_some(),
             CMD_ACCEPT => {
                 if self.port.open(h) {
                     return false;
@@ -482,7 +469,7 @@ impl Nic {
                     return false;
                 }
                 self.port.close(h);
-                self.rx[h].clear();
+                self.spare.extend(self.rx[h].drain(..));
                 true
             }
             _ => false,

@@ -793,14 +793,12 @@ enum Mode {
         echo: Box<EchoClient>,
         tamper: Tamper,
         tampered: bool,
-        closed: bool,
     },
     Plain {
         msgs: Vec<Vec<u8>>,
         expected: usize,
         next_msg: usize,
         sent: usize,
-        closed: bool,
     },
     /// A `Raw` client, or with `hang_up` a `HangUp` one.
     Raw {
@@ -818,6 +816,8 @@ pub(crate) struct FleetClient {
     conn: Option<SocketId>,
     mode: Mode,
     out: ClientOutcome,
+    /// The client has closed its side of the connection.
+    closed: bool,
     fin: bool,
     reset: bool,
     /// The client has finished, successfully or not.
@@ -850,7 +850,6 @@ impl FleetClient {
                     echo: Box::new(EchoClient::new(config, prng, messages.clone())),
                     tamper: *tamper,
                     tampered: false,
-                    closed: false,
                 }
             }
             GuestClient::Plain { messages } => Mode::Plain {
@@ -858,7 +857,6 @@ impl FleetClient {
                 expected: messages.iter().map(Vec::len).sum(),
                 next_msg: 0,
                 sent: 0,
-                closed: false,
             },
             GuestClient::Raw { payload } | GuestClient::HangUp { payload } => Mode::Raw {
                 payload: payload.clone(),
@@ -872,6 +870,7 @@ impl FleetClient {
             conn: None,
             mode,
             out: ClientOutcome::default(),
+            closed: false,
             fin: false,
             reset: false,
             done: false,
@@ -909,6 +908,7 @@ impl FleetClient {
         };
         let host = &mut self.host;
         let st = &mut self.out;
+        let closed = &mut self.closed;
         // Drain the TCP receive buffer first; probe for the guest's FIN
         // when it is empty.
         let avail = host.available(conn);
@@ -936,11 +936,7 @@ impl FleetClient {
                 _ => {}
             }
         }
-        let (fin, reset) = (self.fin, self.reset);
-        // A FIN/RST before the session ran its course (the balancer
-        // aborted a stalled session, or the backend died) ends the client
-        // with this error.
-        let early_close = || Some(if reset { "Reset" } else { "EarlyClose" }.to_string());
+        let fin = self.fin;
 
         // Each mode says when its exchange has run its course; a FIN or
         // RST ends every client whatever its mode, below.
@@ -949,7 +945,6 @@ impl FleetClient {
                 echo,
                 tamper,
                 tampered,
-                closed,
             } => {
                 if let Some(e) = echo.error() {
                     st.error.get_or_insert_with(|| format!("{e:?}"));
@@ -994,11 +989,6 @@ impl FleetClient {
                     *closed = true;
                 }
 
-                // A clean run sets `closed` or `peer_closed` before the
-                // FIN is ever observed.
-                if fin && !*closed && !st.peer_closed && st.error.is_none() {
-                    st.error = early_close();
-                }
                 match tamper {
                     Tamper::None => *closed || st.error.is_some() || st.peer_closed,
                     Tamper::FlipDataMac => *tampered && (st.peer_closed || st.error.is_some()),
@@ -1010,7 +1000,6 @@ impl FleetClient {
                 expected,
                 next_msg,
                 sent,
-                closed,
             } => {
                 st.established |= host.established(conn);
                 if *next_msg < msgs.len() && st.echoed.len() == *sent && host.established(conn) {
@@ -1022,12 +1011,6 @@ impl FleetClient {
                 if st.echoed.len() == *expected && !*closed {
                     host.close(conn);
                     *closed = true;
-                }
-                if fin && !*closed && st.error.is_none() {
-                    // The echo never completed and the server side is
-                    // gone (stall abort or backend death): record the
-                    // cause.
-                    st.error = early_close();
                 }
                 *closed
             }
@@ -1045,11 +1028,21 @@ impl FleetClient {
                         // Disconnect mid-exchange: FIN right behind the
                         // payload.
                         host.close(conn);
+                        *closed = true;
                     }
                 }
                 *sent && !*hang_up && record_complete(&st.raw_rx)
             }
         };
+
+        // A FIN/RST before a secure or plain session ran its course (the
+        // balancer aborted a stalled session, or the backend died) ends the
+        // client with this error; a clean run sets `closed` or
+        // `peer_closed` before the FIN is ever observed.
+        let raw = matches!(self.mode, Mode::Raw { .. });
+        if fin && !raw && !*closed && !st.peer_closed && st.error.is_none() {
+            st.error = Some(if self.reset { "Reset" } else { "EarlyClose" }.to_string());
+        }
 
         // The connection is gone: a client the peer closed or reset has
         // nothing left to wait for, whether or not its mode ran its
