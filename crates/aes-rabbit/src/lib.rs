@@ -25,7 +25,7 @@
 pub mod asm_impl;
 pub mod csource;
 
-use rabbit::fwmap::load_phys;
+use rabbit::fwmap::{load_phys, CODE_ORG, DATASEG_PAGE, SEGSIZE_RESET, STACKSEG_PAGE};
 use rabbit::{assemble, Cpu, Engine, Memory, NullIo, ProfileReport, SymbolTable};
 
 pub use asm_impl::{
@@ -303,10 +303,10 @@ fn run_asm(
     mem.load(load_phys(in_addr), &flatten(blocks));
 
     let mut cpu = Cpu::new();
-    cpu.mmu.segsize = 0xD8;
-    cpu.mmu.dataseg = 0x78;
-    cpu.mmu.stackseg = 0x78;
-    cpu.regs.pc = 0x4000;
+    cpu.mmu.segsize = SEGSIZE_RESET;
+    cpu.mmu.dataseg = DATASEG_PAGE;
+    cpu.mmu.stackseg = STACKSEG_PAGE;
+    cpu.regs.pc = CODE_ORG;
     if profile {
         cpu.enable_profiler();
     }

@@ -17,8 +17,9 @@
 
 use aes_rabbit::{aes128_asm_source, testbench_workload};
 use criterion::{criterion_group, criterion_main, Criterion};
+use rabbit::fwmap::load_phys;
 use rabbit::{assemble, Cpu, Engine, Image, Memory, NullIo};
-use rmc2000::{load_phys, Board, Nic, RunOutcome, EPOCH_CYCLES};
+use rmc2000::{Board, Nic, RunOutcome, EPOCH_CYCLES};
 use std::time::Instant;
 
 const BLOCKS: usize = 32;

@@ -39,29 +39,28 @@
 //!
 //! A thread schedule is one more visit order, so step 3 may run the
 //! slices on threads. When at least three boards are runnable at the
-//! barrier (neither halted nor wedged), their cores — board, cycle
-//! target and state, one box each — are lent to the fleet's worker pool
-//! (`available_parallelism() - 1` threads, joined when the fleet drops).
-//! The calling thread claims slices too, and runs the other slots'
-//! slices meanwhile; every other step stays on it. Below that count
-//! the epoch runs serially and wakes no worker. The pool starts only
-//! after 32 such epochs in a row: once a process has started a thread,
-//! its malloc stays on the slower multi-thread path, which the short
-//! bursts of a mostly idle fleet do not repay. On a one-core host no
-//! thread is ever started.
+//! barrier (neither halted nor wedged), the fleet lends every core —
+//! boxed board, cycle target and state — to its worker pool
+//! (`available_parallelism() - 1` threads, joined when the fleet drops)
+//! and gets every one back, in slot order, when the round ends. The
+//! calling thread claims slices too; every other step stays on it.
+//! Below that count the epoch runs serially and wakes no worker. The
+//! pool starts only after 32 such epochs in a row: once a process has
+//! started a thread, its malloc stays on the slower multi-thread path,
+//! which the short bursts of a mostly idle fleet do not repay. On a
+//! one-core host no thread is ever started.
 //!
 //! A worker runs its board on a *frozen* block cache
 //! ([`rabbit::Memory::freeze_cache`]): at a block the board's cache lacks
-//! the slice stops, at that instruction boundary, and the worker hands it
-//! back for the calling thread to finish. Ending a slice at an
-//! instruction boundary changes nothing the board does — slices already
-//! split at halts and wakes — and so every decode, every cache insert,
-//! and the shared flash store's lock stay on one thread. Blocks and
-//! cache maps, the bulk of a run's allocations, all come from that
-//! thread's malloc arena; a worker allocates only when a board's buffers
-//! (its NIC receive rings, its port log) first grow. A slice that panics
-//! on a worker is re-raised on the calling thread once every core is
-//! home.
+//! the slice stops, at that instruction boundary, and the calling thread
+//! finishes it after the round. Ending a slice at an instruction
+//! boundary changes nothing the board does — slices already split at
+//! halts and wakes — and so every decode, every cache insert, and the
+//! shared flash store's lock stay on one thread. Blocks and cache maps,
+//! the bulk of a run's allocations, all come from that thread's malloc
+//! arena; a worker allocates only when a board's buffers (its NIC
+//! receive rings, its port log) first grow. A slice that panics on a
+//! worker is re-raised on the calling thread after the round.
 //!
 //! # Idle fast-forward
 //!
@@ -78,6 +77,7 @@ use std::panic;
 use std::rc::Rc;
 use std::thread;
 
+use issl::recmap;
 use rabbit::nicmap::MAX_CONNS;
 use rabbit::{CacheStats, Engine, Firmware, IoSpace};
 use telemetry::{ProfileReport, SymbolTable};
@@ -256,9 +256,9 @@ fn read_conn(host: &SimHost, sock: SocketId, unsent: usize, port: &mut PortConn)
 }
 
 /// Everything a board's epoch slice touches: it moves to a worker
-/// thread and back as one box.
+/// thread and back as one small value, the board behind its box.
 struct Core {
-    board: Board,
+    board: Box<Board>,
     /// Absolute cycle target at the current epoch's end. Instruction
     /// overshoot (a board cannot stop mid-instruction) carries forward:
     /// the next epoch's slice is that much shorter.
@@ -275,15 +275,15 @@ impl Core {
     }
 
     /// Board `i`'s slice of the epoch: its cycle target moves one epoch
-    /// on, and the board runs up to it. A wedged slot is skipped
-    /// outright: its target does not advance, so no catch-up debt
-    /// accrues while frozen.
-    fn slice(&mut self, i: usize) {
-        if self.state == BoardState::Running {
-            self.target += EPOCH_CYCLES;
-            let done = self.advance(i);
-            debug_assert!(done, "only a worker freezes a cache");
+    /// on, and the board runs up to it, as [`Core::advance`] says. A
+    /// wedged slot is skipped outright: its target does not advance, so
+    /// no catch-up debt accrues while frozen.
+    fn slice(&mut self, i: usize) -> bool {
+        if self.state == BoardState::Wedged {
+            return true;
         }
+        self.target += EPOCH_CYCLES;
+        self.advance(i)
     }
 
     /// Runs board `i` up to its target, mixing execution and batched
@@ -311,14 +311,19 @@ impl Core {
         }
         true
     }
+
+    /// The board's port, for the barrier's exchange.
+    fn port(&mut self) -> &mut NicPort {
+        self.board.nic_port_mut().expect("fleet boards carry a NIC")
+    }
 }
 
-/// The pool's job: board `i` runs up to its target, on a frozen block
-/// cache when it runs on a worker, so every decode and map insert stays
-/// on the calling thread.
+/// The pool's job: board `i`'s slice, on a frozen block cache when it
+/// runs on a worker, so every decode and map insert stays on the
+/// calling thread.
 fn lent_slice(core: &mut Core, i: usize, on_worker: bool) -> bool {
     core.board.mem.freeze_cache(on_worker);
-    let done = core.advance(i);
+    let done = core.slice(i);
     core.board.mem.freeze_cache(false);
     done
 }
@@ -338,40 +343,15 @@ const PARALLEL_MIN_RUNNABLE: usize = 3;
 /// idle fleet has several boards running.
 const PARALLEL_START_STREAK: u64 = 32;
 
-struct Slot {
-    /// `None` only while a worker holds it, inside [`Fleet::run_epoch`].
-    core: Option<Box<Core>>,
-    sockets: SocketTable,
-}
-
-impl Slot {
-    fn core(&self) -> &Core {
-        self.core.as_deref().expect("every core is home between epochs")
-    }
-
-    fn core_mut(&mut self) -> &mut Core {
-        self.core
-            .as_deref_mut()
-            .expect("every core is home between epochs")
-    }
-
-    /// The board's port and the world's side of it, for the exchange.
-    fn port(&mut self) -> (&mut NicPort, &mut SocketTable) {
-        let board = &mut self
-            .core
-            .as_deref_mut()
-            .expect("every core is home between epochs")
-            .board;
-        let port = board.nic_port_mut().expect("fleet boards carry a NIC");
-        (port, &mut self.sockets)
-    }
-}
-
 /// A set of boards sharing one [`World`], advanced in deterministic
 /// lockstep by the single clock owner.
 pub struct Fleet {
     world: Rc<RefCell<World>>,
-    slots: Vec<Slot>,
+    /// Board `i`'s core; a parallel epoch lends the whole vector to the
+    /// pool and gets it back in order.
+    cores: Vec<Core>,
+    /// Board `i`'s side of the world.
+    sockets: Vec<SocketTable>,
     epochs: u64,
     /// Worker threads to run slices on: `None` until the pool would
     /// start, then `available_parallelism() - 1`.
@@ -392,7 +372,8 @@ impl Fleet {
     pub fn new(world: &Rc<RefCell<World>>) -> Fleet {
         Fleet {
             world: Rc::clone(world),
-            slots: Vec::new(),
+            cores: Vec::new(),
+            sockets: Vec::new(),
             epochs: 0,
             workers: None,
             min_runnable: PARALLEL_MIN_RUNNABLE,
@@ -404,12 +385,12 @@ impl Fleet {
 
     /// Number of boards in the fleet.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.cores.len()
     }
 
     /// Whether the fleet has no boards.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.cores.is_empty()
     }
 
     /// Epochs completed so far (fast-forwarded epochs included).
@@ -420,7 +401,7 @@ impl Fleet {
     /// Adds board `len()`: a NIC whose port this scheduler exchanges at
     /// every barrier, and telemetry namespaced under `board<idx>.`.
     pub fn add_board(&mut self, engine: Engine, name: &str, ip: Ipv4) -> usize {
-        let idx = self.slots.len();
+        let idx = self.cores.len();
         let host = SimHost::attach(&self.world, name, ip);
         let mut board = Board::with_engine(engine);
         {
@@ -429,30 +410,28 @@ impl Fleet {
             let counters = NicCounters::register_board(world.telemetry(), idx);
             board.attach_nic(Nic::with_counters(counters));
         }
-        self.slots.push(Slot {
-            core: Some(Box::new(Core {
-                board,
-                target: 0,
-                state: BoardState::Running,
-            })),
-            sockets: SocketTable::new(host),
+        self.cores.push(Core {
+            board: Box::new(board),
+            target: 0,
+            state: BoardState::Running,
         });
+        self.sockets.push(SocketTable::new(host));
         idx
     }
 
     /// Board `i`.
     pub fn board(&self, i: usize) -> &Board {
-        &self.slots[i].core().board
+        &self.cores[i].board
     }
 
     /// Board `i`, mutably.
     pub fn board_mut(&mut self, i: usize) -> &mut Board {
-        &mut self.slots[i].core_mut().board
+        &mut self.cores[i].board
     }
 
     /// Board `i`'s network host handle.
     pub fn host(&self, i: usize) -> &SimHost {
-        self.slots[i].sockets.host()
+        self.sockets[i].host()
     }
 
     /// Board `i`'s IP address.
@@ -465,14 +444,14 @@ impl Fleet {
     /// wedged board counts as parked — it contributes nothing until
     /// resurrected, and must not block fleet-wide fast-forward.
     pub fn parked(&mut self, i: usize) -> bool {
-        let c = self.slots[i].core_mut();
+        let c = &mut self.cores[i];
         c.state == BoardState::Wedged
             || (c.board.cpu.halted && c.board.bus.pending_interrupt().is_none())
     }
 
     /// Board `i`'s fault state.
     pub fn state(&self, i: usize) -> BoardState {
-        self.slots[i].core().state
+        self.cores[i].state
     }
 
     /// Wedges board `i`: from the next epoch on, the scheduler skips
@@ -481,21 +460,21 @@ impl Fleet {
     /// TCP stack would otherwise answer SYNs for the frozen board); the
     /// fleet fault driver does both.
     pub fn wedge(&mut self, i: usize) {
-        self.slots[i].core_mut().state = BoardState::Wedged;
+        self.cores[i].state = BoardState::Wedged;
     }
 
     /// Resurrects a wedged board. Lost time is lost: the cycle target
     /// snaps to the board's frozen cycle count, so the board resumes
     /// from where it stopped instead of replaying the missed epochs.
     pub fn resurrect(&mut self, i: usize) {
-        let c = self.slots[i].core_mut();
+        let c = &mut self.cores[i];
         c.state = BoardState::Running;
         c.target = c.board.cpu.cycles;
     }
 
     /// Whether every board is parked.
     pub fn all_parked(&mut self) -> bool {
-        (0..self.slots.len()).all(|i| self.parked(i))
+        (0..self.cores.len()).all(|i| self.parked(i))
     }
 
     /// Runs one epoch: the world first reaches the epoch's end, then
@@ -510,11 +489,11 @@ impl Fleet {
     /// If a board's firmware stops for any reason other than halting.
     pub fn run_epoch(&mut self, order: &[usize]) {
         debug_assert!(
-            is_permutation(order, self.slots.len()),
+            is_permutation(order, self.cores.len()),
             "order visits every board exactly once"
         );
         self.run_world(EPOCH_US);
-        let runnable = self.slots.iter().filter(|s| s.core().runnable()).count();
+        let runnable = self.cores.iter().filter(|c| c.runnable()).count();
         let parallel = runnable >= self.min_runnable;
         self.streak = if parallel { self.streak + 1 } else { 0 };
         if parallel
@@ -524,7 +503,8 @@ impl Fleet {
             self.run_slices_on_workers();
         } else {
             for &i in order {
-                self.slots[i].core_mut().slice(i);
+                let done = self.cores[i].slice(i);
+                debug_assert!(done, "only a worker freezes a cache");
             }
         }
         self.drain_ports();
@@ -547,39 +527,27 @@ impl Fleet {
         self.start_streak = 1;
     }
 
-    /// The epoch's slices with the runnable boards' cores lent to the
-    /// pool: workers and this thread claim them, while this thread also
-    /// runs the other slots' slices. A worker hands back a
-    /// slice its frozen cache stopped short, and this thread finishes it;
-    /// a slice that panicked is re-raised here once every core is home.
+    /// The epoch's slices with every core lent to the pool: workers and
+    /// this thread claim them. Once all are home, this thread finishes
+    /// each slice a worker's frozen cache stopped short, then re-raises
+    /// the first slice that panicked.
     fn run_slices_on_workers(&mut self) {
-        let n = self.slots.len();
+        let n = self.cores.len();
         if self.pool.as_ref().is_none_or(|p| p.cells() != n) {
             let workers = self.workers();
             self.pool = None; // join the old pool's threads first
             self.pool = Some(Pool::new(n, workers, lent_slice));
         }
         let pool = self.pool.as_mut().expect("pool started");
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.core().runnable() {
-                let mut core = slot.core.take().expect("core is home");
-                core.target += EPOCH_CYCLES;
-                pool.lend(i, core);
-            }
-        }
-        let slots = &mut self.slots;
-        pool.run(|| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if let Some(core) = slot.core.as_deref_mut() {
-                    core.slice(i);
-                }
-            }
-        });
+        let ended = pool.run(&mut self.cores);
         let mut panicked = None;
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let Some((core, ended)) = pool.take(i) {
-                slot.core = Some(core);
-                if let Err(payload) = ended {
+        for ((i, core), ended) in self.cores.iter_mut().enumerate().zip(ended) {
+            match ended {
+                Ok(true) => {}
+                Ok(false) => {
+                    core.advance(i);
+                }
+                Err(payload) => {
                     panicked.get_or_insert(payload);
                 }
             }
@@ -595,17 +563,15 @@ impl Fleet {
     fn run_world(&mut self, us: u64) {
         self.drain_ports();
         self.world.borrow_mut().run_for(us);
-        for s in &mut self.slots {
-            let (port, sockets) = s.port();
-            sockets.fill(port);
+        for (core, sockets) in self.cores.iter_mut().zip(&mut self.sockets) {
+            sockets.fill(core.port());
         }
     }
 
     /// Drains every board's port, in slot order.
     fn drain_ports(&mut self) {
-        for s in &mut self.slots {
-            let (port, sockets) = s.port();
-            sockets.drain(port);
+        for (core, sockets) in self.cores.iter_mut().zip(&mut self.sockets) {
+            sockets.drain(core.port());
         }
     }
 
@@ -615,7 +581,7 @@ impl Fleet {
     /// soonest device deadline, so nothing observable lands inside the
     /// skipped window. Returns the number of epochs skipped.
     pub fn fast_forward(&mut self, max_epochs: u64) -> u64 {
-        if max_epochs == 0 || self.slots.is_empty() || !self.all_parked() {
+        if max_epochs == 0 || self.cores.is_empty() || !self.all_parked() {
             return 0;
         }
         let mut k = max_epochs;
@@ -631,8 +597,7 @@ impl Fleet {
                 k = k.min((t - now - 1) / EPOCH_US);
             }
         }
-        for s in &mut self.slots {
-            let c = s.core_mut();
+        for c in &mut self.cores {
             if c.state == BoardState::Wedged {
                 continue; // frozen: no deadlines, no idle time
             }
@@ -644,16 +609,12 @@ impl Fleet {
             return 0;
         }
         self.run_world(k * EPOCH_US);
-        for s in &mut self.slots {
-            let c = s.core_mut();
+        for (i, c) in self.cores.iter_mut().enumerate() {
             if c.state == BoardState::Wedged {
                 continue;
             }
             c.target += k * EPOCH_CYCLES;
-            let left = c.target.saturating_sub(c.board.cpu.cycles);
-            if left > 0 {
-                c.board.idle(left);
-            }
+            c.advance(i);
         }
         self.drain_ports();
         self.epochs += k;
@@ -917,7 +878,8 @@ impl<'s> Serve<'s> {
     /// clients, a `dials` list of the wrong length, a visit order that is
     /// not a permutation of the boards, a dead link or fault naming no
     /// board, a client message or payload over [`netsim::SEND_BUFFER`],
-    /// a PSK over 64 bytes) — checked before any work.
+    /// a secure one counted as its data records' wire size, a PSK over
+    /// 64 bytes) — checked before any work.
     pub fn new(spec: &'s FleetSpec) -> Serve<'s> {
         Serve::with(spec, true, None)
     }
@@ -945,15 +907,18 @@ impl<'s> Serve<'s> {
             panic!("fault plan names board {b} of {}", spec.boards);
         }
         for (i, client) in spec.clients.iter().enumerate() {
-            // Each message or payload goes to the socket in one send.
-            let sends = match client {
-                GuestClient::Plain { messages } => &messages[..],
-                GuestClient::Raw { payload } | GuestClient::HangUp { payload } => {
-                    std::slice::from_ref(payload)
+            // Each message (a secure one as its data records) or payload
+            // goes to the socket in one send.
+            let largest = match client {
+                GuestClient::Plain { messages } => messages.iter().map(Vec::len).max(),
+                GuestClient::Secure { messages, .. } => {
+                    messages.iter().map(|m| recmap::data_wire_len(m.len())).max()
                 }
-                GuestClient::Secure { .. } => &[],
+                GuestClient::Raw { payload } | GuestClient::HangUp { payload } => {
+                    Some(payload.len())
+                }
             };
-            if let Some(n) = sends.iter().map(Vec::len).find(|&n| n > SEND_BUFFER) {
+            if let Some(n) = largest.filter(|&n| n > SEND_BUFFER) {
                 panic!("client {i} sends {n} bytes at once; the send buffer holds {SEND_BUFFER}");
             }
         }
@@ -1340,6 +1305,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "client 0 sends 73795 bytes at once; the send buffer holds 65536")]
+    fn oversized_secure_message_is_refused_before_boot() {
+        let spec = FleetSpec::new(
+            Engine::Interpreter,
+            1,
+            b"psk",
+            vec![GuestClient::secure(&[&[b'x'; 70_000]], b"psk")],
+        );
+        let _ = fleet_serve(&spec);
+    }
+
+    #[test]
     #[should_panic(expected = "client 1 sends 65537 bytes at once")]
     fn oversized_raw_payload_is_refused_before_boot() {
         let mut spec = FleetSpec::new(Engine::Interpreter, 1, b"", echo_clients(1));
@@ -1474,6 +1451,10 @@ mod tests {
                 for count in counts {
                     assert_eq!(sum(&threaded, count), sum(&shared, count), "{workers} workers");
                 }
+                // Workers did stop short, and the calling thread finished
+                // those slices.
+                let stopped = sum(&threaded, |c| c.frozen_misses);
+                assert!(stopped > 0, "{workers} workers: no slice stopped short");
             }
             for (s, p) in shared.boards.iter().zip(&private.boards) {
                 // Every board caches the same blocks either way; on a

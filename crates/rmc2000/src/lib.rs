@@ -55,8 +55,3 @@ pub use secure::{
 };
 pub use serial::{SerialPort, SERIAL_A_VECTOR};
 pub use serve::SERVE_PORT;
-
-// The loader's address convention is the repo-wide one (shared with the
-// `dcc` harness); re-exported so existing `rmc2000::load_phys` callers
-// keep working.
-pub use rabbit::fwmap::load_phys;

@@ -1,20 +1,18 @@
 //! The fleet's worker pool: persistent threads that run one job on each
-//! of a set of lent boxes, with the calling thread running jobs too.
+//! item of a vector, with the calling thread running jobs too.
 //!
-//! One round: the caller [`Pool::lend`]s boxes into per-index cells,
-//! then [`Pool::run`] wakes the workers, and every thread scans the
-//! cells once, claiming and running each box still lent. Each thread
-//! starts its scan at its own offset, so in a balanced round a box runs
-//! on the thread that ran it last round and its data stays in that
-//! core's cache. The caller waits only on a box some thread has claimed
-//! and not finished, never on an idle worker, so a worker that wakes
-//! late finds nothing to do and costs the round nothing.
-//!
-//! A job on a worker may stop short; the worker hands the box back, and
-//! the caller runs the job on it again, to the end, while the workers
-//! carry on. [`Pool::take`] then returns each box with how its job
-//! ended. A job that panics ends with the panic's payload, which the
-//! caller re-raises; a panic never leaves a cell claimed, so it cannot
+//! One round: [`Pool::run`] lends every item of the caller's vector to
+//! its own cell, wakes the workers, and every thread scans the cells
+//! once, claiming and running each item still lent. Each thread starts
+//! its scan at its own offset, so in a balanced round an item runs on
+//! the thread that ran it last round and its data stays in that core's
+//! cache. The caller waits only on an item some thread has claimed and
+//! not finished, never on an idle worker, so a worker that wakes late
+//! finds nothing to do and costs the round nothing. Once every job has
+//! ended, `run` puts every item back into the vector, in order, and
+//! returns how each job ended: to its end, stopped short on a worker
+//! (the caller finishes it), or with a panic's payload (the caller
+//! re-raises it). A panic never leaves a cell claimed, so it cannot
 //! hang the round.
 //!
 //! Workers spin for [`SPIN`] after their last round, then park until
@@ -31,22 +29,21 @@ use std::time::{Duration, Instant};
 /// How long a worker polls for the next round before it parks.
 const SPIN: Duration = Duration::from_micros(50);
 
-/// The job run on each lent box: its cell index, and whether it runs on
-/// a worker thread (`true`) or on the calling one. It returns whether it
-/// ran to its end, which it must on the calling thread; a worker's
-/// `false` hands the box back to the caller, which runs the job again.
+/// The job run on each lent item: its index, and whether it runs on a
+/// worker thread (`true`) or on the calling one. It returns whether it
+/// ran to its end, which it must on the calling thread.
 pub(crate) type Job<T> = fn(&mut T, usize, bool) -> bool;
 
-/// How a lent box's job ended: `Err` holds a panic's payload.
-pub(crate) type Ended = Result<(), Box<dyn Any + Send>>;
+/// How a lent item's job ended: `Ok(true)` ran to its end, `Ok(false)`
+/// stopped short on a worker, and `Err` holds a panic's payload.
+pub(crate) type Ended = Result<bool, Box<dyn Any + Send>>;
 
 enum Cell<T> {
+    /// Not lent, or claimed by a thread that is running its job.
     Empty,
     /// Lent, not yet claimed.
-    Lent(Box<T>),
-    /// Stopped short on a worker, for the caller to finish.
-    HandedBack(Box<T>),
-    Ran(Box<T>, Ended),
+    Lent(T),
+    Ran(T, Ended),
 }
 
 /// One cell, alone on its cache lines: threads running neighbouring
@@ -57,14 +54,11 @@ struct Slot<T>(Mutex<Cell<T>>);
 struct Shared<T> {
     cells: Box<[Slot<T>]>,
     job: Job<T>,
-    /// Lent boxes whose job has not ended. Raised before a box becomes
-    /// claimable and lowered (Release) after its `Ran` is stored, so a
-    /// zero read (Acquire) means every lent box is back in its cell.
+    /// Lent items whose job has not ended. Set before a round's items
+    /// become claimable and lowered (Release) after each `Ran` is stored,
+    /// so a zero read (Acquire) means every lent item is back in its cell.
     pending: AtomicUsize,
-    /// Cells holding a handed-back box. Raised (Release) after the cell
-    /// is stored; the caller reads it (Acquire) while it waits.
-    handed_back: AtomicUsize,
-    /// Bumped (Release) once a round's boxes are lent; a worker that
+    /// Bumped (Release) once a round's items are lent; a worker that
     /// reads a new value (Acquire) scans the cells.
     round: AtomicU64,
     stop: AtomicBool,
@@ -79,7 +73,7 @@ impl<T> Shared<T> {
     }
 
     /// Scans every cell once from `first` on, running the job on each
-    /// box still lent (and, on the calling thread, each handed back).
+    /// item still lent.
     fn claim(&self, first: usize, on_worker: bool) {
         let n = self.cells.len();
         for i in (first..n).chain(0..first) {
@@ -87,10 +81,6 @@ impl<T> Shared<T> {
                 let mut cell = self.cell(i);
                 match std::mem::replace(&mut *cell, Cell::Empty) {
                     Cell::Lent(item) => item,
-                    Cell::HandedBack(item) if !on_worker => {
-                        self.handed_back.fetch_sub(1, Ordering::Relaxed);
-                        item
-                    }
                     other => {
                         *cell = other;
                         continue;
@@ -100,15 +90,11 @@ impl<T> Shared<T> {
             let ended = panic::catch_unwind(AssertUnwindSafe(|| {
                 (self.job)(&mut item, i, on_worker)
             }));
-            if let Ok(false) = ended {
-                if on_worker {
-                    *self.cell(i) = Cell::HandedBack(item);
-                    self.handed_back.fetch_add(1, Ordering::Release);
-                    continue;
-                }
-                debug_assert!(false, "a job on the calling thread runs to its end");
-            }
-            *self.cell(i) = Cell::Ran(item, ended.map(drop));
+            debug_assert!(
+                on_worker || !matches!(ended, Ok(false)),
+                "a job on the calling thread runs to its end"
+            );
+            *self.cell(i) = Cell::Ran(item, ended);
             self.pending.fetch_sub(1, Ordering::Release);
         }
     }
@@ -118,6 +104,8 @@ impl<T> Shared<T> {
 pub(crate) struct Pool<T: Send + 'static> {
     shared: Arc<Shared<T>>,
     workers: Vec<JoinHandle<()>>,
+    /// How each job of the last round ended (kept to reuse its buffer).
+    ended: Vec<Ended>,
 }
 
 impl<T: Send + 'static> Pool<T> {
@@ -129,7 +117,6 @@ impl<T: Send + 'static> Pool<T> {
             cells: (0..cells).map(|_| Slot(Mutex::new(Cell::Empty))).collect(),
             job,
             pending: AtomicUsize::new(0),
-            handed_back: AtomicUsize::new(0),
             round: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
@@ -145,7 +132,11 @@ impl<T: Send + 'static> Pool<T> {
                     .ok()
             })
             .collect();
-        Pool { shared, workers }
+        Pool {
+            shared,
+            workers,
+            ended: Vec::with_capacity(cells),
+        }
     }
 
     /// Number of cells.
@@ -153,29 +144,25 @@ impl<T: Send + 'static> Pool<T> {
         self.shared.cells.len()
     }
 
-    /// Puts `item` in cell `i` for the next [`Pool::run`].
-    pub(crate) fn lend(&mut self, i: usize, item: Box<T>) {
-        self.shared.pending.fetch_add(1, Ordering::Relaxed);
-        *self.shared.cell(i) = Cell::Lent(item);
-    }
-
-    /// Runs the job on every lent box: wakes the workers, runs
-    /// `meanwhile` on the calling thread, then claims cells alongside
-    /// the workers, finishes what they hand back, and returns once every
-    /// lent box's job has ended.
-    pub(crate) fn run(&mut self, meanwhile: impl FnOnce()) {
+    /// Runs the job once on every item of `items`, one per cell: lends
+    /// them all, wakes the workers, claims cells alongside them, and
+    /// waits until every job has ended. Returns with `items` refilled in
+    /// the same order, yielding how each one's job ended.
+    pub(crate) fn run(&mut self, items: &mut Vec<T>) -> std::vec::Drain<'_, Ended> {
         let shared = &*self.shared;
+        assert_eq!(items.len(), shared.cells.len(), "one item per cell");
+        shared.pending.store(items.len(), Ordering::Relaxed);
+        for (i, item) in items.drain(..).enumerate() {
+            *shared.cell(i) = Cell::Lent(item);
+        }
         shared.round.fetch_add(1, Ordering::Release);
         for w in &self.workers {
             w.thread().unpark();
         }
-        meanwhile();
         shared.claim(0, false);
         let mut spun = 0u32;
         while shared.pending.load(Ordering::Acquire) != 0 {
-            if shared.handed_back.load(Ordering::Acquire) != 0 {
-                shared.claim(0, false);
-            } else if spun < 1 << 12 {
+            if spun < 1 << 12 {
                 // A worker holds a cell: poll briefly, then give it the
                 // core.
                 spun += 1;
@@ -184,15 +171,16 @@ impl<T: Send + 'static> Pool<T> {
                 thread::yield_now();
             }
         }
-    }
-
-    /// Takes back cell `i`'s box and how its job ended, if it was lent.
-    pub(crate) fn take(&mut self, i: usize) -> Option<(Box<T>, Ended)> {
-        match std::mem::replace(&mut *self.shared.cell(i), Cell::Empty) {
-            Cell::Ran(item, ended) => Some((item, ended)),
-            Cell::Empty => None,
-            Cell::Lent(_) | Cell::HandedBack(_) => unreachable!("run ends every lent job"),
+        for i in 0..shared.cells.len() {
+            match std::mem::replace(&mut *shared.cell(i), Cell::Empty) {
+                Cell::Ran(item, ended) => {
+                    items.push(item);
+                    self.ended.push(ended);
+                }
+                Cell::Empty | Cell::Lent(_) => unreachable!("run ends every lent job"),
+            }
         }
+        self.ended.drain(..)
     }
 }
 
@@ -254,41 +242,71 @@ mod tests {
 
     #[test]
     fn every_lent_box_comes_back_once_whatever_the_worker_count() {
-        let lent = |i: usize, round: u64| !(i as u64 + round).is_multiple_of(3);
         for workers in [0, 1, 3] {
             let mut pool = Pool::new(6, workers, double as Job<(u64, bool)>);
+            let mut items = Vec::new();
             for round in 0..200u64 {
-                for i in (0..6).filter(|&i| lent(i, round)) {
-                    pool.lend(i, Box::new((round + i as u64 + 100, false)));
-                }
-                let mut ran_meanwhile = false;
-                pool.run(|| ran_meanwhile = true);
-                assert!(ran_meanwhile);
-                for i in 0..6 {
-                    match pool.take(i) {
-                        Some((v, Ok(()))) => {
-                            assert!(lent(i, round));
-                            assert_eq!(v.0, 2 * (round + i as u64 + 100), "doubled once");
-                        }
-                        None => assert!(!lent(i, round), "{workers} workers: cell {i} lost"),
-                        Some((_, Err(_))) => panic!("no job panics here"),
+                let start = |i: usize| round * 10 + i as u64 + 100;
+                items.clear();
+                items.extend((0..6).map(|i| (start(i), false)));
+                let buffer = items.as_ptr();
+                let ended: Vec<Ended> = pool.run(&mut items).collect();
+                assert_eq!((items.len(), ended.len()), (6, 6), "{workers} workers");
+                assert_eq!(items.as_ptr(), buffer, "the vector keeps its buffer");
+                for (i, (v, ended)) in items.iter_mut().zip(ended).enumerate() {
+                    match ended {
+                        Ok(true) => {}
+                        // Stopped short on a worker: the caller finishes.
+                        Ok(false) => assert!(double(v, i, false)),
+                        Err(_) => panic!("no job panics here"),
                     }
+                    assert_eq!(v.0, 2 * start(i), "{workers} workers: cell {i} doubled once");
                 }
             }
         }
     }
 
+    /// Set once a worker has run a job of
+    /// [`a_job_a_worker_stops_short_is_finished_by_the_caller_once`].
+    static WORKER_RAN: AtomicBool = AtomicBool::new(false);
+
+    /// Counts its runs to the end. On a worker it stops short; on the
+    /// calling thread, cell 0 first waits until a worker has run.
+    fn count_after_a_worker(runs: &mut u32, i: usize, on_worker: bool) -> bool {
+        if on_worker {
+            WORKER_RAN.store(true, Ordering::Release);
+            return false;
+        }
+        let since = Instant::now();
+        while i == 0 && !WORKER_RAN.load(Ordering::Acquire) {
+            assert!(since.elapsed() < Duration::from_secs(10), "no worker ran");
+            thread::yield_now();
+        }
+        *runs += 1;
+        true
+    }
+
+    #[test]
+    fn a_job_a_worker_stops_short_is_finished_by_the_caller_once() {
+        // The caller scans from cell 0 and waits there; the one worker
+        // scans from cell 1, so it claims cell 1 and stops short.
+        let mut pool = Pool::new(2, 1, count_after_a_worker as Job<u32>);
+        let mut items = vec![0, 0];
+        let ended: Vec<Ended> = pool.run(&mut items).collect();
+        assert!(matches!(ended[..], [Ok(true), Ok(false)]), "{ended:?}");
+        assert!(count_after_a_worker(&mut items[1], 1, false));
+        assert_eq!(items, [1, 1]);
+    }
+
     #[test]
     fn a_panicking_job_comes_back_with_its_payload() {
         let mut pool = Pool::new(4, 2, double as Job<(u64, bool)>);
-        for i in 0..4 {
-            pool.lend(i, Box::new((if i == 2 { 13 } else { 1 }, false)));
-        }
-        pool.run(|| {});
-        let ended: Vec<Ended> = (0..4).map(|i| pool.take(i).expect("lent").1).collect();
+        let mut items: Vec<_> = (0..4).map(|i| (if i == 2 { 13 } else { 1 }, false)).collect();
+        let ended: Vec<Ended> = pool.run(&mut items).collect();
         let payload = ended[2].as_ref().expect_err("cell 2 panicked");
         let msg = payload.downcast_ref::<String>().expect("a formatted panic");
         assert_eq!(msg, "unlucky cell 2");
-        assert!(ended.iter().enumerate().all(|(i, e)| i == 2 || e.is_ok()));
+        assert!(ended.iter().enumerate().all(|(i, e)| i == 2 || matches!(e, Ok(true))));
+        assert_eq!(items.iter().map(|v| v.0).collect::<Vec<_>>(), [2, 2, 13, 2]);
     }
 }

@@ -5,6 +5,7 @@
 //! register-level interrupt set-up it contrasts with Unix `signal()`.
 
 use rabbit::assemble;
+use rabbit::fwmap::load_phys;
 use rmc2000::{Board, RunOutcome, SERIAL_A_VECTOR};
 
 /// Firmware: main loop increments a heartbeat counter at 0x8000 forever.
@@ -64,8 +65,8 @@ fn boot() -> Board {
 }
 
 fn heartbeat(board: &Board) -> u16 {
-    let lo = board.mem.read_phys(rmc2000::load_phys(0x8000));
-    let hi = board.mem.read_phys(rmc2000::load_phys(0x8001));
+    let lo = board.mem.read_phys(load_phys(0x8000));
+    let hi = board.mem.read_phys(load_phys(0x8001));
     u16::from_le_bytes([lo, hi])
 }
 
@@ -101,7 +102,7 @@ fn reset_request_restarts_application_keeping_state() {
     let hb_before = heartbeat(&board);
 
     board.serial_mut().inject(b'r');
-    let reset_count_addr = rmc2000::load_phys(0x8004);
+    let reset_count_addr = load_phys(0x8004);
     assert!(
         board.run_until(200_000, |b| b.mem.read_phys(reset_count_addr) == 1),
         "application reset performed"
@@ -184,12 +185,12 @@ fn isr_does_not_reenter_but_request_redelivers() {
     // ...then a second character arrives mid-ISR. Its request is raised
     // immediately but must not preempt the running priority-1 handler.
     board.serial_mut().inject(b'b');
-    let isr_count = rmc2000::load_phys(0x8012);
+    let isr_count = load_phys(0x8012);
     assert!(
         board.run_until(200_000, |b| b.mem.read_phys(isr_count) == 2),
         "ISR serviced both characters"
     );
-    let max_depth = board.mem.read_phys(rmc2000::load_phys(0x8011));
+    let max_depth = board.mem.read_phys(load_phys(0x8011));
     assert_eq!(max_depth, 1, "ISR never re-entered (priority masking)");
 }
 

@@ -26,6 +26,7 @@ use std::rc::Rc;
 
 use netsim::{Endpoint, Ipv4, LinkParams, Recv, SimHost, SocketId, World};
 use proptest::prelude::*;
+use rabbit::fwmap::load_phys;
 use rabbit::{assemble, Engine};
 use rmc2000::firmware::{nic_equates, nic_isr_body, nic_shims};
 use rmc2000::fleet::SocketTable;
@@ -292,8 +293,8 @@ fn fingerprint(mut s: Session) -> Fingerprint {
         regs: format!("{:?}", s.board.cpu.regs),
         halted: s.board.cpu.halted,
         rtc_cycles: s.board.rtc().cycles,
-        rtc_sample: s.board.mem.read_phys(rmc2000::load_phys(RTC_SAMPLE)),
-        ser_count: s.board.mem.read_phys(rmc2000::load_phys(SER_COUNT)),
+        rtc_sample: s.board.mem.read_phys(load_phys(RTC_SAMPLE)),
+        ser_count: s.board.mem.read_phys(load_phys(SER_COUNT)),
         serial_tx: s.board.serial().transmitted().to_vec(),
         serial_overruns: s.board.serial().overruns,
         nic_rx_frames: nic.rx_frames.get(),

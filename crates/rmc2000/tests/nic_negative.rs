@@ -12,6 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use netsim::{Ipv4, World};
+use rabbit::fwmap::load_phys;
 use rabbit::{assemble, Engine};
 use rmc2000::nic::{
     CMD_CLOSE, CMD_LISTEN, CMD_RX_NEXT, CMD_TX_GO, NIC_CMD, NIC_CONN, NIC_LPORT_HI, NIC_LPORT_LO,
@@ -88,7 +89,7 @@ fn run(engine: Engine) -> Outcome {
     let (world, fleet) = boot(engine, &firmware());
     let board = fleet.board(0);
     let records = (0..6)
-        .map(|i| board.mem.read_phys(rmc2000::load_phys(RECORD + i)))
+        .map(|i| board.mem.read_phys(load_phys(RECORD + i)))
         .collect();
     let cmd_errors = board.nic().expect("nic").counters().cmd_errors.get();
     let snapshot = world.borrow().telemetry().snapshot().to_text();
@@ -134,7 +135,7 @@ fn successful_command_clears_a_previous_error() {
          \x20       halt\n"
     );
     let (_world, fleet) = boot(Engine::Interpreter, &src);
-    let status = fleet.board(0).mem.read_phys(rmc2000::load_phys(RECORD));
+    let status = fleet.board(0).mem.read_phys(load_phys(RECORD));
     assert_eq!(status & STATUS_ERR, 0, "status {status:#04x}");
 }
 
