@@ -25,7 +25,7 @@
 pub mod asm_impl;
 pub mod csource;
 
-use rabbit::fwmap::{load_phys, CODE_ORG, DATASEG_PAGE, SEGSIZE_RESET, STACKSEG_PAGE};
+use rabbit::fwmap::{load_phys, reset_registers, CODE_ORG};
 use rabbit::{assemble, Cpu, Engine, Memory, NullIo, ProfileReport, SymbolTable};
 
 pub use asm_impl::{
@@ -303,9 +303,7 @@ fn run_asm(
     mem.load(load_phys(in_addr), &flatten(blocks));
 
     let mut cpu = Cpu::new();
-    cpu.mmu.segsize = SEGSIZE_RESET;
-    cpu.mmu.dataseg = DATASEG_PAGE;
-    cpu.mmu.stackseg = STACKSEG_PAGE;
+    reset_registers(&mut cpu);
     cpu.regs.pc = CODE_ORG;
     if profile {
         cpu.enable_profiler();

@@ -17,7 +17,7 @@
 
 use aes_rabbit::{aes128_asm_source, testbench_workload};
 use criterion::{criterion_group, criterion_main, Criterion};
-use rabbit::fwmap::load_phys;
+use rabbit::fwmap::{load_phys, reset_registers, CODE_ORG};
 use rabbit::{assemble, Cpu, Engine, Image, Memory, NullIo};
 use rmc2000::{Board, Nic, RunOutcome, EPOCH_CYCLES};
 use std::time::Instant;
@@ -45,10 +45,8 @@ fn machine(w: &Workload) -> (Cpu, Memory) {
     }
     load_data(w, &mut mem);
     let mut cpu = Cpu::new();
-    cpu.mmu.segsize = 0xD8;
-    cpu.mmu.dataseg = 0x78;
-    cpu.mmu.stackseg = 0x78;
-    cpu.regs.pc = 0x4000;
+    reset_registers(&mut cpu);
+    cpu.regs.pc = CODE_ORG;
     (cpu, mem)
 }
 

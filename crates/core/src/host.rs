@@ -4,23 +4,30 @@
 //!
 //! Structure mirrors the original: a listener hands each accepted
 //! connection to a concurrent handler (the paper's `fork`-per-request
-//! loop in §5.3 — modelled here as a pool of cooperative processes, since
+//! loop in §5.3 — modelled here as a pool of cooperative workers, since
 //! the simulation has no processes to fork), each handler speaks issl
 //! over BSD sockets, redirects plaintext to a backend service, and logs
 //! to an append-only file on the host filesystem.
+//!
+//! Every peer here talks through [`BsdWire`] on a [`UnixProcess`]
+//! descriptor. A handler adopts its accepted connection
+//! ([`UnixProcess::adopt`]), as a forked child inherits it. The
+//! redirector and the plain echo server share one worker pool, and the
+//! plain and secure clients one echo check, which runs over a descriptor
+//! or a [`Session`] alike.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crypto::Prng;
-use dynamicc::Scheduler;
-use netsim::{Endpoint, HostId, Ipv4};
+use dynamicc::{Co, Scheduler};
+use netsim::{Endpoint, HostId, Ipv4, SocketId};
 use sockets::bsd::{SockAddrIn, UnixProcess, AF_INET, SOCK_STREAM};
 use sockets::Net;
 
 use crate::log::{FileLog, Log};
-use crate::session::{ClientConfig, ServerConfig, Session};
-use crate::wire::BsdWire;
+use crate::session::{ClientConfig, IsslError, ServerConfig, Session};
+use crate::wire::{BsdWire, Wire};
 
 /// Counters published by a running redirector.
 #[derive(Debug, Default)]
@@ -96,74 +103,89 @@ pub fn spawn_redirector(
     config: &RedirectorConfig,
     log: FileLog,
 ) -> Arc<RedirectorStats> {
-    let stats = Arc::new(RedirectorStats::default());
-    // One shared listener; workers all accept from it.
-    let listener = net
-        .with(|w| w.tcp_listen(host, config.port, config.workers.max(1) * 2))
-        .expect("listen port free");
+    let (port, workers) = (config.port, config.workers);
+    let config = config.clone();
+    let handle = net.clone();
+    let serve = move |worker: usize, co: &Co, conn, stats: &RedirectorStats| {
+        let seed = config.seed ^ (0xC0FF_EE00 + worker as u64);
+        match serve_connection(&handle, host, co, conn, &config, seed, stats) {
+            Ok(bytes) => {
+                stats.served.fetch_add(1, Ordering::SeqCst);
+                log.log(&format!("served connection ({bytes} bytes redirected)"));
+            }
+            Err(e) => {
+                stats.handshake_failures.fetch_add(1, Ordering::SeqCst);
+                log.log(&format!("connection failed: {e}"));
+            }
+        }
+    };
+    spawn_workers(sched, net, host, port, workers, "redirector", serve)
+}
 
-    for worker in 0..config.workers {
+/// The `fork`-per-request loop both host servers share: one listener on
+/// `port`, and `workers` costatements that each park until it has a
+/// pending connection, accept it and hand it to `serve` (with the
+/// worker's index), until the returned block's `stop` is raised.
+fn spawn_workers<F>(
+    sched: &mut Scheduler,
+    net: &Net,
+    host: HostId,
+    port: u16,
+    workers: usize,
+    name: &str,
+    serve: F,
+) -> Arc<RedirectorStats>
+where
+    F: Fn(usize, &Co, SocketId, &RedirectorStats) + Clone + Send + 'static,
+{
+    let stats = Arc::new(RedirectorStats::default());
+    let listener = net
+        .with(|w| w.tcp_listen(host, port, workers.max(1) * 2))
+        .expect("listen port free");
+    for worker in 0..workers {
         let net = net.clone();
         let stats = Arc::clone(&stats);
-        let config = config.clone();
-        let log = log.clone();
-        sched.spawn(&format!("redirector-{worker}"), move |co| {
-            let mut proc = UnixProcess::in_costate(&net, host, co.clone());
-            loop {
-                if stats.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // accept() without a timeout: park until the listener has
-                // a pending connection (or stop is raised), then accept.
-                let conn = loop {
-                    if stats.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if net.with(|w| w.tcp_pending(listener)) > 0 {
-                        if let Some(sid) = net.with(|w| w.tcp_accept(listener)) {
-                            break sid;
-                        }
-                    }
-                    let net = net.clone();
-                    let stats = Arc::clone(&stats);
-                    co.wait_until(move || {
-                        stats.stop.load(Ordering::SeqCst)
-                            || net.with(|w| w.tcp_pending(listener)) > 0
-                    });
-                };
-
-                let seed = config.seed ^ (0xC0FF_EE00 + worker as u64);
-                let outcome = serve_connection(&mut proc, &net, &co, conn, &config, seed, &stats);
-                match outcome {
-                    Ok(bytes) => {
-                        stats.served.fetch_add(1, Ordering::SeqCst);
-                        log.log(&format!("served connection ({bytes} bytes redirected)"));
-                    }
-                    Err(e) => {
-                        stats.handshake_failures.fetch_add(1, Ordering::SeqCst);
-                        log.log(&format!("connection failed: {e}"));
-                    }
+        let serve = serve.clone();
+        sched.spawn(&format!("{name}-{worker}"), move |co| loop {
+            if stats.stop.load(Ordering::SeqCst) {
+                return;
+            }
+            if net.with(|w| w.tcp_pending(listener)) > 0 {
+                if let Some(conn) = net.with(|w| w.tcp_accept(listener)) {
+                    serve(worker, &co, conn, &stats);
+                    continue;
                 }
             }
+            // accept() without a timeout: park until the listener has a
+            // pending connection or stop is raised.
+            let net = net.clone();
+            let stats = Arc::clone(&stats);
+            co.wait_until(move || {
+                stats.stop.load(Ordering::SeqCst) || net.with(|w| w.tcp_pending(listener)) > 0
+            });
         });
     }
     stats
 }
 
+/// Serves one accepted connection the way a `fork`ed child would: the
+/// child inherits the descriptor and speaks issl over it, and opens its
+/// plaintext leg to the backend from a process of its own.
 #[allow(clippy::too_many_arguments)] // internal helper; the grouping *is* the connection context
 fn serve_connection(
-    proc: &mut UnixProcess,
     net: &Net,
-    co: &dynamicc::Co,
-    conn: netsim::SocketId,
+    host: HostId,
+    co: &Co,
+    conn: SocketId,
     config: &RedirectorConfig,
     seed: u64,
     stats: &RedirectorStats,
-) -> Result<u64, crate::session::IsslError> {
-    let wire = RawSocketWire {
-        net: net.clone(),
-        sid: conn,
-        co: co.clone(),
+) -> Result<u64, IsslError> {
+    let mut child = UnixProcess::in_costate(net, host, co.clone());
+    let fd = child.adopt(conn);
+    let wire = BsdWire {
+        process: &mut child,
+        fd,
     };
     let mut session = Session::server_handshake(wire, &config.tls, Prng::new(seed))?;
     if config.compute.handshake_us > 0 {
@@ -171,12 +193,13 @@ fn serve_connection(
     }
 
     // Optional plaintext leg to the backend.
-    let mut backend_fd = None;
+    let mut backend = None;
     if let Some(be) = config.backend {
+        let mut proc = UnixProcess::in_costate(net, host, co.clone());
         let fd = proc.socket(AF_INET, SOCK_STREAM, 0).expect("socket");
         proc.connect(fd, &SockAddrIn::new(be.ip, be.port))
-            .map_err(|_| crate::session::IsslError::Handshake("backend unreachable"))?;
-        backend_fd = Some(fd);
+            .map_err(|_| IsslError::Handshake("backend unreachable"))?;
+        backend = Some((proc, fd));
     }
 
     let mut total = 0u64;
@@ -192,18 +215,18 @@ fn serve_connection(
             // decrypt + re-encrypt of n bytes
             net.pump(2 * (n as u64 * config.compute.per_kilobyte_us) / 1024);
         }
-        match backend_fd {
-            Some(fd) => {
+        match &mut backend {
+            Some((proc, fd)) => {
                 // redirect: plaintext to the backend, its reply back over
                 // the secure channel
-                proc.send_all(fd, &buf[..n])
-                    .map_err(|_| crate::session::IsslError::Handshake("backend send"))?;
+                proc.send_all(*fd, &buf[..n])
+                    .map_err(|_| IsslError::Handshake("backend send"))?;
                 let mut reply = vec![0u8; n];
                 let mut got = 0;
                 while got < n {
                     let m = proc
-                        .recv(fd, &mut reply[got..])
-                        .map_err(|_| crate::session::IsslError::Handshake("backend recv"))?;
+                        .recv(*fd, &mut reply[got..])
+                        .map_err(|_| IsslError::Handshake("backend recv"))?;
                     if m == 0 {
                         break;
                     }
@@ -215,64 +238,10 @@ fn serve_connection(
         }
     }
     let _ = session.close();
-    if let Some(fd) = backend_fd {
+    if let Some((mut proc, fd)) = backend {
         let _ = proc.close(fd);
     }
     Ok(total)
-}
-
-/// A raw netsim TCP socket used directly as a [`crate::wire::Wire`]
-/// inside a costatement: blocked operations yield to the scheduler and a
-/// driver costatement advances the wire.
-pub struct RawSocketWire {
-    /// Network handle.
-    pub net: Net,
-    /// Connected socket.
-    pub sid: netsim::SocketId,
-    /// Costatement handle used to yield while blocked.
-    pub co: dynamicc::Co,
-}
-
-impl crate::wire::Wire for RawSocketWire {
-    fn write_all(&mut self, data: &[u8]) -> Result<(), crate::wire::WireError> {
-        let mut off = 0;
-        let mut idle = 0u32;
-        while off < data.len() {
-            match self.net.with(|w| w.tcp_send(self.sid, &data[off..])) {
-                Ok(0) => {
-                    self.co.yield_now();
-                    idle += 1;
-                    if idle > 10_000_000 {
-                        return Err(crate::wire::WireError::Timeout);
-                    }
-                }
-                Ok(n) => {
-                    off += n;
-                    idle = 0;
-                }
-                Err(_) => return Err(crate::wire::WireError::ConnectionLost),
-            }
-        }
-        Ok(())
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize, crate::wire::WireError> {
-        let mut idle = 0u32;
-        loop {
-            match self.net.with(|w| w.tcp_recv(self.sid, buf)) {
-                netsim::Recv::Data(n) => return Ok(n),
-                netsim::Recv::Closed => return Ok(0),
-                netsim::Recv::Reset => return Err(crate::wire::WireError::ConnectionLost),
-                netsim::Recv::WouldBlock => {
-                    self.co.yield_now();
-                    idle += 1;
-                    if idle > 10_000_000 {
-                        return Err(crate::wire::WireError::Timeout);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Spawns a plaintext echo server (the backend the redirector fronts, and
@@ -284,58 +253,21 @@ pub fn spawn_plain_echo(
     port: u16,
     workers: usize,
 ) -> Arc<RedirectorStats> {
-    let stats = Arc::new(RedirectorStats::default());
-    let listener = net
-        .with(|w| w.tcp_listen(host, port, workers.max(1) * 2))
-        .expect("listen port free");
-    for worker in 0..workers {
-        let net = net.clone();
-        let stats = Arc::clone(&stats);
-        sched.spawn(&format!("plain-echo-{worker}"), move |co| loop {
-            if stats.stop.load(Ordering::SeqCst) {
-                return;
+    let handle = net.clone();
+    let serve = move |_, co: &Co, conn, stats: &RedirectorStats| {
+        let mut child = UnixProcess::in_costate(&handle, host, co.clone());
+        let fd = child.adopt(conn);
+        let mut buf = [0u8; 2048];
+        while let Ok(n @ 1..) = child.recv(fd, &mut buf) {
+            stats.bytes_forward.fetch_add(n as u64, Ordering::SeqCst);
+            if child.send_all(fd, &buf[..n]).is_err() {
+                break;
             }
-            let conn = loop {
-                if stats.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if net.with(|w| w.tcp_pending(listener)) > 0 {
-                    if let Some(sid) = net.with(|w| w.tcp_accept(listener)) {
-                        break sid;
-                    }
-                }
-                let net = net.clone();
-                let stats = Arc::clone(&stats);
-                co.wait_until(move || {
-                    stats.stop.load(Ordering::SeqCst)
-                        || net.with(|w| w.tcp_pending(listener)) > 0
-                });
-            };
-            let mut buf = [0u8; 2048];
-            loop {
-                match net.with(|w| w.tcp_recv(conn, &mut buf)) {
-                    netsim::Recv::Data(n) => {
-                        stats.bytes_forward.fetch_add(n as u64, Ordering::SeqCst);
-                        let mut off = 0;
-                        while off < n {
-                            match net.with(|w| w.tcp_send(conn, &buf[off..n])) {
-                                Ok(m) => off += m,
-                                Err(_) => break,
-                            }
-                            if off < n {
-                                co.yield_now();
-                            }
-                        }
-                    }
-                    netsim::Recv::WouldBlock => co.yield_now(),
-                    netsim::Recv::Closed | netsim::Recv::Reset => break,
-                }
-            }
-            let _ = net.with(|w| w.tcp_close(conn));
-            stats.served.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    stats
+        }
+        let _ = child.close(fd);
+        stats.served.fetch_add(1, Ordering::SeqCst);
+    };
+    spawn_workers(sched, net, host, port, workers, "plain-echo", serve)
 }
 
 /// Spawns a driver costatement that pumps the simulated network each
@@ -356,14 +288,15 @@ pub fn spawn_driver(sched: &mut Scheduler, net: &Net, quantum_us: u64) -> Arc<At
     stop
 }
 
-/// Result block filled in by [`spawn_secure_client`].
+/// Result block filled in by [`spawn_secure_client`] and
+/// [`spawn_plain_client`].
 #[derive(Debug, Default)]
 pub struct ClientResult {
     /// Bytes echoed back and verified.
     pub bytes_verified: AtomicU64,
     /// Completed successfully.
     pub done: AtomicBool,
-    /// Error string if the exchange failed.
+    /// The exchange failed.
     pub failed: AtomicBool,
 }
 
@@ -381,59 +314,12 @@ pub fn spawn_secure_client(
     chunk: usize,
     seed: u64,
 ) -> Arc<ClientResult> {
-    let result = Arc::new(ClientResult::default());
-    let out = Arc::clone(&result);
-    let net = net.clone();
-    sched.spawn("secure-client", move |co| {
-        let mut proc = UnixProcess::in_costate(&net, host, co.clone());
-        let fd = proc.socket(AF_INET, SOCK_STREAM, 0).expect("socket");
-        if proc
-            .connect(fd, &SockAddrIn::new(server.ip, server.port))
-            .is_err()
-        {
-            out.failed.store(true, Ordering::SeqCst);
-            return;
-        }
-        let wire = BsdWire {
-            process: &mut proc,
-            fd,
-        };
-        let Ok(mut session) = Session::client_handshake(wire, &tls, Prng::new(seed)) else {
-            out.failed.store(true, Ordering::SeqCst);
-            return;
-        };
-        let mut verified = 0u64;
-        for part in payload.chunks(chunk.max(1)) {
-            if session.secure_write(part).is_err() {
-                out.failed.store(true, Ordering::SeqCst);
-                return;
-            }
-            let mut echoed = vec![0u8; part.len()];
-            let mut got = 0;
-            while got < part.len() {
-                match session.secure_read(&mut echoed[got..]) {
-                    Ok(0) => {
-                        out.failed.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    Ok(n) => got += n,
-                    Err(_) => {
-                        out.failed.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                }
-            }
-            if echoed != part {
-                out.failed.store(true, Ordering::SeqCst);
-                return;
-            }
-            verified += part.len() as u64;
-            out.bytes_verified.store(verified, Ordering::SeqCst);
-        }
-        let _ = session.close();
-        out.done.store(true, Ordering::SeqCst);
-    });
-    result
+    let spec = EchoSpec {
+        server,
+        payload,
+        chunk,
+    };
+    spawn_echo_client(sched, net, host, "secure-client", spec, Some((tls, seed)))
 }
 
 /// Spawns a *plaintext* client with the same traffic pattern, for the
@@ -446,51 +332,88 @@ pub fn spawn_plain_client(
     payload: Vec<u8>,
     chunk: usize,
 ) -> Arc<ClientResult> {
+    let spec = EchoSpec {
+        server,
+        payload,
+        chunk,
+    };
+    spawn_echo_client(sched, net, host, "plain-client", spec, None)
+}
+
+/// What an echo client sends, and where.
+struct EchoSpec {
+    server: Endpoint,
+    payload: Vec<u8>,
+    chunk: usize,
+}
+
+/// The one host echo client: plaintext when `tls` is `None`, otherwise
+/// issl with that config and PRNG seed.
+fn spawn_echo_client(
+    sched: &mut Scheduler,
+    net: &Net,
+    host: HostId,
+    name: &str,
+    spec: EchoSpec,
+    tls: Option<(ClientConfig, u64)>,
+) -> Arc<ClientResult> {
     let result = Arc::new(ClientResult::default());
     let out = Arc::clone(&result);
     let net = net.clone();
-    sched.spawn("plain-client", move |co| {
-        let mut proc = UnixProcess::in_costate(&net, host, co.clone());
-        let fd = proc.socket(AF_INET, SOCK_STREAM, 0).expect("socket");
-        if proc
-            .connect(fd, &SockAddrIn::new(server.ip, server.port))
-            .is_err()
-        {
-            out.failed.store(true, Ordering::SeqCst);
-            return;
-        }
-        let mut verified = 0u64;
-        for part in payload.chunks(chunk.max(1)) {
-            if proc.send_all(fd, part).is_err() {
-                out.failed.store(true, Ordering::SeqCst);
-                return;
-            }
-            let mut echoed = vec![0u8; part.len()];
-            let mut got = 0;
-            while got < part.len() {
-                match proc.recv(fd, &mut echoed[got..]) {
-                    Ok(0) => {
-                        out.failed.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    Ok(n) => got += n,
-                    Err(_) => {
-                        out.failed.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                }
-            }
-            if echoed != part {
-                out.failed.store(true, Ordering::SeqCst);
-                return;
-            }
-            verified += part.len() as u64;
-            out.bytes_verified.store(verified, Ordering::SeqCst);
-        }
-        let _ = proc.close(fd);
-        out.done.store(true, Ordering::SeqCst);
+    sched.spawn(name, move |co| {
+        let mut proc = UnixProcess::in_costate(&net, host, co);
+        let flag = match echo_client(&mut proc, &spec, tls, &out) {
+            Some(()) => &out.done,
+            None => &out.failed,
+        };
+        flag.store(true, Ordering::SeqCst);
     });
     result
+}
+
+/// Connects, runs the handshake if `tls` asks for one, checks the echo
+/// over the descriptor or the session alike, and closes. `None` at the
+/// first failure.
+fn echo_client(
+    proc: &mut UnixProcess,
+    spec: &EchoSpec,
+    tls: Option<(ClientConfig, u64)>,
+    out: &ClientResult,
+) -> Option<()> {
+    let fd = proc.socket(AF_INET, SOCK_STREAM, 0).expect("socket");
+    let addr = SockAddrIn::new(spec.server.ip, spec.server.port);
+    proc.connect(fd, &addr).ok()?;
+    let mut wire = BsdWire { process: proc, fd };
+    match tls {
+        None => {
+            echo_check(&mut wire, spec, out)?;
+            let _ = wire.process.close(fd);
+        }
+        Some((tls, seed)) => {
+            let mut session = Session::client_handshake(wire, &tls, Prng::new(seed)).ok()?;
+            echo_check(&mut session, spec, out)?;
+            let _ = session.close();
+        }
+    }
+    Some(())
+}
+
+/// Streams the payload through `stream` one chunk at a time, reads each
+/// echo back in full, compares it, and counts the verified bytes into
+/// `out`.
+fn echo_check(stream: &mut impl Wire, spec: &EchoSpec, out: &ClientResult) -> Option<()> {
+    let mut verified = 0u64;
+    for part in spec.payload.chunks(spec.chunk.max(1)) {
+        stream.write_all(part).ok()?;
+        let mut echoed = vec![0u8; part.len()];
+        stream.read_exact(&mut echoed).ok()?;
+        if echoed != part {
+            return None;
+        }
+        verified += part.len() as u64;
+        out.bytes_verified.store(verified, Ordering::SeqCst);
+    }
+    Some(())
 }
 
 /// Writes the SHA-1 of the server's public key to the conventional path —

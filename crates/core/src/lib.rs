@@ -26,7 +26,7 @@
 //!   application
 //!   ── secure_read / secure_write ───────────── [session]
 //!   ── records: type ‖ len ‖ IV ‖ CBC ‖ HMAC ── [record]
-//!   ── transport: BSD / Dynamic C / raw ─────── [wire]
+//!   ── transport: BSD / Dynamic C ───────────── [wire]
 //!   ── simulated TCP/IP ─────────────────────── netsim
 //! ```
 

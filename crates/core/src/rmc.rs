@@ -7,7 +7,9 @@
 //!   plus one costatement that drives the TCP stack with `tcp_tick(NULL)`
 //!   — "three processes to handle requests (allowing a maximum of three
 //!   connections), and one to drive the TCP stack". Adding concurrency
-//!   means adding costatements and **recompiling**.
+//!   means adding costatements and **recompiling**. Each handler speaks
+//!   issl through a [`DynicWire`], which yields to the tick costatement
+//!   whenever its socket is not ready.
 //! * **No RSA**: key exchange degenerates to a pre-shared master secret
 //!   ([`crate::session::ServerKx::PreShared`]); the bignum package never
 //!   crossed the porting gap.
@@ -24,11 +26,11 @@ use std::sync::{Arc, Mutex};
 
 use crypto::Prng;
 use dynamicc::{Scheduler, Xalloc};
-use sockets::dynic::{Stack, TcpSock};
+use sockets::dynic::Stack;
 
 use crate::log::{CircularLog, Log};
 use crate::session::{CipherSuite, ServerConfig, ServerKx, Session};
-use crate::wire::{Wire, WireError};
+use crate::wire::DynicWire;
 
 /// Fixed record buffer per handler, allocated once from the arena —
 /// exactly one maximum-size record ([`crate::recmap::MAX_RECORD`]).
@@ -80,57 +82,6 @@ impl Default for RmcServerConfig {
             log_lines: 32,
             xmem_bytes: 16 * 1024,
             seed: 0x2000,
-        }
-    }
-}
-
-/// A Dynamic C socket as a [`Wire`] for costatement handlers: blocked
-/// operations yield; the tick costatement advances the stack.
-struct CoDynicWire {
-    stack: Stack,
-    sock: TcpSock,
-    co: dynamicc::Co,
-}
-
-impl Wire for CoDynicWire {
-    fn write_all(&mut self, mut data: &[u8]) -> Result<(), WireError> {
-        let mut idle = 0u32;
-        while !data.is_empty() {
-            match self.stack.sock_write(self.sock, data) {
-                Ok(0) => {
-                    self.co.yield_now();
-                    idle += 1;
-                    if idle > 10_000_000 {
-                        return Err(WireError::Timeout);
-                    }
-                }
-                Ok(n) => {
-                    data = &data[n..];
-                    idle = 0;
-                }
-                Err(_) => return Err(WireError::ConnectionLost),
-            }
-        }
-        Ok(())
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize, WireError> {
-        let mut idle = 0u32;
-        loop {
-            match self.stack.sock_read(self.sock, buf) {
-                Ok(0) => {
-                    if self.stack.sock_peer_closed(self.sock) {
-                        return Ok(0);
-                    }
-                    self.co.yield_now();
-                    idle += 1;
-                    if idle > 10_000_000 {
-                        return Err(WireError::Timeout);
-                    }
-                }
-                Ok(n) => return Ok(n),
-                Err(_) => return Err(WireError::ConnectionLost),
-            }
         }
     }
 }
@@ -211,7 +162,7 @@ pub fn spawn_rmc_server(
                 let now_active = stats.active.fetch_add(1, Ordering::SeqCst) + 1;
                 stats.max_active.fetch_max(now_active, Ordering::SeqCst);
 
-                let wire = CoDynicWire {
+                let wire = DynicWire {
                     stack: stack.clone(),
                     sock,
                     co: co.clone(),

@@ -108,7 +108,8 @@ struct Listener {
     accepted: u64,
 }
 
-/// Outcome counters and latency samples for completed client sessions.
+/// Outcome counters and latency samples for completed client sessions,
+/// with the telemetry snapshot taken when the report was made.
 #[derive(Debug, Clone, Default)]
 pub struct ServeReport {
     /// Client sessions that completed handshake + echo round-trip.
@@ -121,6 +122,10 @@ pub struct ServeReport {
     /// Handshake latencies (connect → issl Finished verified) of
     /// completed sessions, in virtual microseconds, unsorted.
     pub handshake_us: Vec<u64>,
+    /// Point-in-time copy of the world's registry: every `serve.*` and
+    /// `net.*` metric the run produced. Identical load specs give
+    /// byte-identical snapshots.
+    pub snapshot: telemetry::Snapshot,
 }
 
 impl ServeReport {
@@ -296,6 +301,7 @@ impl EventLoop {
             failed: self.failed,
             elapsed_us: self.net.now() - self.started_us,
             handshake_us: self.handshake_us.clone(),
+            snapshot: self.registry.snapshot(),
         }
     }
 
@@ -556,71 +562,11 @@ impl LoadSpec {
     }
 }
 
-/// A load run's outcome together with the telemetry snapshot taken at
-/// the end: the [`ServeReport`] numbers plus every `serve.*` and `net.*`
-/// metric the run produced. Identical specs give byte-identical
-/// snapshots.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// The classic outcome counters and latency samples.
-    pub serve: ServeReport,
-    /// Point-in-time copy of the world's registry at run end.
-    pub snapshot: telemetry::Snapshot,
-}
-
-impl LoadReport {
-    /// The `q`-quantile (0.0..=1.0) handshake latency from the
-    /// `serve.handshake_us` histogram, in virtual microseconds.
-    pub fn handshake_quantile_us(&self, q: f64) -> u64 {
-        self.snapshot
-            .histogram("serve.handshake_us", &[])
-            .map_or(0, |h| h.quantile(q))
-    }
-}
-
-impl std::fmt::Display for LoadReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "sessions: {} completed, {} failed ({:.1}/s virtual)",
-            self.serve.completed,
-            self.serve.failed,
-            self.serve.sessions_per_sec()
-        )?;
-        writeln!(
-            f,
-            "handshake_us: p50={} p90={} p99={}",
-            self.handshake_quantile_us(0.50),
-            self.handshake_quantile_us(0.90),
-            self.handshake_quantile_us(0.99)
-        )?;
-        if let Some(h) = self.snapshot.histogram("serve.echo_us", &[]) {
-            writeln!(
-                f,
-                "echo_us: p50={} p90={} p99={}",
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99)
-            )?;
-        }
-        write!(
-            f,
-            "net: {} packets delivered, {} retransmits",
-            self.snapshot.counter("net.packets.delivered", &[]),
-            self.snapshot.counter("net.tcp.retransmits", &[])
-        )
-    }
-}
-
 /// Runs the load generator: `spec.clients` concurrent pre-shared-key
 /// sessions (the RMC suite, AES-128/128) through handshake + echo against
-/// one event-loop server in one deterministic world.
+/// one event-loop server in one deterministic world, and reports the
+/// outcome with the end-of-run telemetry snapshot.
 pub fn run_load(spec: &LoadSpec) -> ServeReport {
-    run_load_report(spec).serve
-}
-
-/// [`run_load`], but also returning the end-of-run telemetry snapshot.
-pub fn run_load_report(spec: &LoadSpec) -> LoadReport {
     let psk = b"rmc2000 shared secret".to_vec();
     let server_cfg = ServerConfig {
         suites: vec![crate::session::CipherSuite::AES128],
@@ -659,10 +605,7 @@ pub fn run_load_report(spec: &LoadSpec) -> LoadReport {
         );
     }
     el.run(spec.deadline_us);
-    LoadReport {
-        serve: el.report(),
-        snapshot: el.telemetry().snapshot(),
-    }
+    el.report()
 }
 
 #[cfg(test)]
@@ -697,8 +640,8 @@ mod tests {
 
     #[test]
     fn snapshot_mirrors_the_report_and_is_deterministic() {
-        let a = run_load_report(&LoadSpec::concurrency(12));
-        let b = run_load_report(&LoadSpec::concurrency(12));
+        let a = run_load(&LoadSpec::concurrency(12));
+        let b = run_load(&LoadSpec::concurrency(12));
         assert_eq!(
             a.snapshot.to_json(),
             b.snapshot.to_json(),
@@ -716,16 +659,12 @@ mod tests {
         // The histogram saw exactly the latencies the Vec kept.
         let h = a.snapshot.histogram("serve.handshake_us", &[]).expect("histogram");
         assert_eq!(h.count(), 12);
-        assert_eq!(h.sum(), a.serve.handshake_us.iter().sum::<u64>());
-        assert_eq!(h.max(), *a.serve.handshake_us.iter().max().unwrap());
+        assert_eq!(h.sum(), a.handshake_us.iter().sum::<u64>());
+        assert_eq!(h.max(), *a.handshake_us.iter().max().unwrap());
 
         // The same snapshot carries the network layer underneath.
         assert!(a.snapshot.counter("net.packets.delivered", &[]) > 0);
         assert!(a.snapshot.counter("net.tcp.bytes_delivered", &[]) > 0);
-
-        let text = format!("{a}");
-        assert!(text.contains("p50="), "load report prints percentiles: {text}");
-        assert!(a.handshake_quantile_us(0.50) <= a.handshake_quantile_us(0.99));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use rsa::KeyPair;
 
 use crate::machine::SessionMachine;
 use crate::record::RecordError;
-use crate::wire::Wire;
+use crate::wire::{Wire, WireError};
 
 /// Cipher geometry negotiated in the hello exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,6 +273,30 @@ impl<W: Wire> Session<W> {
     }
 }
 
+/// A session is itself a byte stream: `write_all` is
+/// [`Session::secure_write`] and `read` is [`Session::secure_read`], so
+/// code written against [`Wire`] runs over plaintext and issl alike. A
+/// transport failure keeps its [`WireError`]; any other session error
+/// (bad MAC, corrupt record, alert) ends the stream as
+/// [`WireError::ConnectionLost`].
+impl<W: Wire> Wire for Session<W> {
+    fn write_all(&mut self, data: &[u8]) -> Result<(), WireError> {
+        self.secure_write(data).map_err(lost)
+    }
+
+    fn read(&mut self, buf: &mut [u8]) -> Result<usize, WireError> {
+        self.secure_read(buf).map_err(lost)
+    }
+}
+
+/// Folds a session error into the transport error a [`Wire`] reports.
+fn lost(e: IsslError) -> WireError {
+    match e {
+        IsslError::Record(RecordError::Wire(e)) => e,
+        _ => WireError::ConnectionLost,
+    }
+}
+
 impl<W: Wire> std::fmt::Debug for Session<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
@@ -280,5 +304,18 @@ impl<W: Wire> std::fmt::Debug for Session<W> {
             .field("seq_in", &self.machine.records_received())
             .field("block_len", &self.machine.block_len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_session_read_as_a_wire_keeps_transport_errors() {
+        let timeout = IsslError::Record(RecordError::Wire(WireError::Timeout));
+        assert_eq!(lost(timeout), WireError::Timeout);
+        assert_eq!(lost(IsslError::BadMac), WireError::ConnectionLost);
+        assert_eq!(lost(IsslError::PeerAlert), WireError::ConnectionLost);
     }
 }

@@ -2,9 +2,15 @@
 //! library that layers on top of the Unix sockets layer" (§2). The same
 //! record machinery runs over a BSD descriptor on the host and over a
 //! Dynamic C socket on the RMC2000 — the two transports whose API gap is
-//! the paper's Figure 2.
+//! the paper's Figure 2 — and each API has exactly one [`Wire`]:
+//!
+//! * [`BsdWire`] drives a [`UnixProcess`] descriptor; whether a blocked
+//!   call pumps the world or yields to the scheduler is the process's
+//!   [`sockets::Blocking`] policy, not the wire's.
+//! * [`DynicWire`] drives a Dynamic C socket from a handler costatement.
 
 use crypto::Size;
+use dynamicc::Co;
 use sockets::bsd::{Errno, Fd, UnixProcess};
 use sockets::dynic::{Stack, TcpSock};
 
@@ -118,64 +124,62 @@ impl Wire for BsdWire<'_> {
     }
 }
 
-/// A Dynamic C socket as a [`Wire`] (the embedded profile's transport).
-/// Reads tick the stack; writes retry through `sock_write` until the
-/// buffer drains, mirroring how the port pumped `tcp_tick` everywhere.
+/// A Dynamic C socket as a [`Wire`] (the embedded profile's transport),
+/// read and written from a handler costatement: a blocked operation
+/// yields, and the `tcp_tick` costatement advances the stack (Figure 3).
 pub struct DynicWire {
     /// The TCP/IP stack of the board.
     pub stack: Stack,
     /// The socket slot carrying the connection.
     pub sock: TcpSock,
-    /// Tick budget for a single pseudo-blocking read.
-    pub max_ticks: usize,
+    /// The handler costatement, yielded while blocked.
+    pub co: Co,
 }
 
-impl DynicWire {
-    /// Wraps a connected Dynamic C socket.
-    pub fn new(stack: Stack, sock: TcpSock) -> DynicWire {
-        DynicWire {
-            stack,
-            sock,
-            max_ticks: 1_000_000,
-        }
-    }
-}
+/// Yields a blocked [`DynicWire`] call may make in a row before it gives
+/// up with [`WireError::Timeout`].
+const DYNIC_MAX_YIELDS: u32 = 10_000_000;
 
 impl Wire for DynicWire {
     fn write_all(&mut self, mut data: &[u8]) -> Result<(), WireError> {
-        let mut idle = 0;
+        let mut idle = 0u32;
         while !data.is_empty() {
-            let n = self
-                .stack
-                .sock_write(self.sock, data)
-                .map_err(|_| WireError::ConnectionLost)?;
-            data = &data[n..];
-            if n == 0 {
-                self.stack.tcp_tick(None);
-                idle += 1;
-                if idle > self.max_ticks {
-                    return Err(WireError::Timeout);
+            match self.stack.sock_write(self.sock, data) {
+                Ok(0) => {
+                    self.co.yield_now();
+                    idle += 1;
+                    if idle > DYNIC_MAX_YIELDS {
+                        return Err(WireError::Timeout);
+                    }
                 }
-            } else {
-                idle = 0;
+                Ok(n) => {
+                    data = &data[n..];
+                    idle = 0;
+                }
+                Err(_) => return Err(WireError::ConnectionLost),
             }
         }
         Ok(())
     }
 
     fn read(&mut self, buf: &mut [u8]) -> Result<usize, WireError> {
-        for _ in 0..self.max_ticks {
+        let mut idle = 0u32;
+        loop {
             match self.stack.sock_read(self.sock, buf) {
                 Ok(0) => {
-                    if !self.stack.tcp_tick(Some(self.sock)) {
-                        return Ok(0); // connection fully closed
+                    if self.stack.sock_peer_closed(self.sock) {
+                        return Ok(0);
+                    }
+                    self.co.yield_now();
+                    idle += 1;
+                    if idle > DYNIC_MAX_YIELDS {
+                        return Err(WireError::Timeout);
                     }
                 }
                 Ok(n) => return Ok(n),
                 Err(_) => return Err(WireError::ConnectionLost),
             }
         }
-        Err(WireError::Timeout)
     }
 }
 

@@ -140,10 +140,7 @@ impl Build {
             mem.load(load_phys(s.addr), &s.bytes);
         }
         let mut cpu = Cpu::new();
-        cpu.mmu.segsize = rabbit::fwmap::SEGSIZE_RESET; // data seg 0x8000, stack seg 0xD000
-        cpu.mmu.dataseg = rabbit::fwmap::DATASEG_PAGE; // logical 0x8000 -> phys 0x80000 (SRAM)
-        cpu.mmu.stackseg = rabbit::fwmap::STACKSEG_PAGE;
-        cpu.regs.sp = rabbit::fwmap::SP_RESET;
+        rabbit::fwmap::reset_registers(&mut cpu);
         cpu.regs.pc = layout::CODE_ORG;
         (cpu, mem)
     }

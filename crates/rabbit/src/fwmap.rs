@@ -12,6 +12,7 @@
 //! boards.
 
 use crate::asm::Image;
+use crate::cpu::Cpu;
 use crate::mem::{Flash, Memory};
 
 /// Root code origin (flash).
@@ -30,6 +31,17 @@ pub const STACKSEG_PAGE: u8 = 0x78;
 pub const SEGSIZE_RESET: u8 = 0xD8;
 /// Initial stack pointer.
 pub const SP_RESET: u16 = 0xDFF0;
+
+/// Puts `cpu`'s segment registers and stack pointer in the reset
+/// configuration this map assumes: the data and stack segments on SRAM
+/// ([`SEGSIZE_RESET`], [`DATASEG_PAGE`], [`STACKSEG_PAGE`]) and `SP` at
+/// [`SP_RESET`]. Every machine that runs a loaded image starts here.
+pub fn reset_registers(cpu: &mut Cpu) {
+    cpu.mmu.segsize = SEGSIZE_RESET;
+    cpu.mmu.dataseg = DATASEG_PAGE;
+    cpu.mmu.stackseg = STACKSEG_PAGE;
+    cpu.regs.sp = SP_RESET;
+}
 
 /// Maps a logical firmware address to the physical address a loader
 /// writes: root code below [`ROOT_DATA_ORG`] sits in flash at its own
@@ -109,11 +121,9 @@ mod tests {
     fn dataseg_maps_root_data_onto_sram() {
         // The MMU translation with the reset DATASEG must agree with the
         // loader: logical 0x8000 and load_phys(0x8000) are the same byte.
-        let mut mmu = crate::mem::Mmu::new();
-        mmu.segsize = SEGSIZE_RESET;
-        mmu.dataseg = DATASEG_PAGE;
-        mmu.stackseg = STACKSEG_PAGE;
-        assert_eq!(mmu.translate(0x8000, XMEM_XPC), load_phys(0x8000));
-        assert_eq!(mmu.translate(0xE000, XMEM_XPC), load_phys(0xE000));
+        let mut cpu = Cpu::new();
+        reset_registers(&mut cpu);
+        assert_eq!(cpu.mmu.translate(0x8000, XMEM_XPC), load_phys(0x8000));
+        assert_eq!(cpu.mmu.translate(0xE000, XMEM_XPC), load_phys(0xE000));
     }
 }

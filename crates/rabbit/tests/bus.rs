@@ -223,10 +223,7 @@ fn machine(src: &str) -> (Cpu, Memory) {
     let mut mem = Memory::new();
     image.load_into(&mut mem);
     let mut cpu = Cpu::new();
-    cpu.mmu.segsize = rabbit::fwmap::SEGSIZE_RESET;
-    cpu.mmu.dataseg = rabbit::fwmap::DATASEG_PAGE;
-    cpu.mmu.stackseg = rabbit::fwmap::STACKSEG_PAGE;
-    cpu.regs.sp = rabbit::fwmap::SP_RESET;
+    rabbit::fwmap::reset_registers(&mut cpu);
     cpu.regs.pc = 0x4000;
     (cpu, mem)
 }

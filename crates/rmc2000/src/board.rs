@@ -132,10 +132,7 @@ impl Board {
     /// A board whose [`Board::run`] uses the given execution engine.
     pub fn with_engine(engine: Engine) -> Board {
         let mut cpu = Cpu::new();
-        cpu.mmu.segsize = rabbit::fwmap::SEGSIZE_RESET;
-        cpu.mmu.dataseg = rabbit::fwmap::DATASEG_PAGE;
-        cpu.mmu.stackseg = rabbit::fwmap::STACKSEG_PAGE;
-        cpu.regs.sp = rabbit::fwmap::SP_RESET;
+        rabbit::fwmap::reset_registers(&mut cpu);
         let mut bus = Bus::new();
         let serial_id = bus.attach(Box::new(SerialPort::new()));
         let rtc_id = bus.attach(Box::new(Rtc::default()));
@@ -248,8 +245,8 @@ impl Board {
     pub fn reset(&mut self) {
         let mmu = self.cpu.mmu;
         self.cpu = Cpu::new();
-        self.cpu.mmu = mmu;
-        self.cpu.regs.sp = rabbit::fwmap::SP_RESET;
+        rabbit::fwmap::reset_registers(&mut self.cpu);
+        self.cpu.mmu = mmu; // the segment registers survive a soft reset
         self.resets += 1;
     }
 

@@ -293,8 +293,15 @@ impl UnixProcess {
             return Err(Errno::Etimedout);
         }
         let conn = self.net.with(|w| w.tcp_accept(sid)).ok_or(Errno::Einval)?;
+        Ok(self.adopt(conn))
+    }
+
+    /// Takes over a connection accepted on a listener this process does
+    /// not own, returning a descriptor for it: what a `fork`ed child
+    /// inherits from the parent's `accept`.
+    pub fn adopt(&mut self, conn: SocketId) -> Fd {
         self.fds.push(FdState::Connected(conn));
-        Ok(Fd(self.fds.len() as i32 - 1))
+        Fd(self.fds.len() as i32 - 1)
     }
 
     /// `connect(fd, addr)`: active open, pseudo-blocking until
@@ -328,7 +335,8 @@ impl UnixProcess {
     }
 
     /// `send(fd, buf, 0)`: queues data, pseudo-blocking until the stack
-    /// accepts at least one byte.
+    /// accepts at least one byte. Empty data returns 0 at once, as POSIX
+    /// `send` does.
     ///
     /// # Errors
     ///
@@ -338,6 +346,9 @@ impl UnixProcess {
             FdState::Connected(s) => *s,
             _ => return Err(Errno::Einval),
         };
+        if data.is_empty() {
+            return Ok(0);
+        }
         let mut sent = 0;
         while sent == 0 {
             sent = self
@@ -512,5 +523,66 @@ mod tests {
         client.close(cfd).unwrap();
         let n = server.recv(afd, &mut buf).unwrap();
         assert_eq!(n, 0, "orderly EOF after peer close");
+    }
+
+    #[test]
+    fn empty_send_returns_zero_at_once() {
+        // On a thread, so a send that never returns fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let net = Net::new(9);
+            let sh = net.add_host(Ipv4::new(10, 0, 0, 1));
+            let ch = net.add_host(Ipv4::new(10, 0, 0, 2));
+            net.link(sh, ch, LinkParams::lan_100m());
+            let mut server = UnixProcess::new(&net, sh);
+            let lfd = server.socket(AF_INET, SOCK_STREAM, 0).unwrap();
+            server.bind(lfd, &SockAddrIn::new(Ipv4::ANY, 7)).unwrap();
+            server.listen(lfd, 1).unwrap();
+            let mut client = UnixProcess::new(&net, ch);
+            let cfd = client.socket(AF_INET, SOCK_STREAM, 0).unwrap();
+            client
+                .connect(cfd, &SockAddrIn::new(Ipv4::new(10, 0, 0, 1), 7))
+                .unwrap();
+            let _ = tx.send((client.send(cfd, &[]), client.send_all(cfd, &[])));
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("send(fd, &[]) returned");
+        assert_eq!(got, (Ok(0), Ok(())));
+    }
+
+    #[test]
+    fn adopted_connection_speaks_like_an_accepted_one() {
+        let net = Net::new(6);
+        let sh = net.add_host(Ipv4::new(10, 0, 0, 1));
+        let ch = net.add_host(Ipv4::new(10, 0, 0, 2));
+        net.link(sh, ch, LinkParams::lan_100m());
+        // A listener no process owns, as the workers of a forking server
+        // share one.
+        let listener = net.with(|w| w.tcp_listen(sh, 7, 1)).unwrap();
+
+        let mut client = UnixProcess::new(&net, ch);
+        let cfd = client.socket(AF_INET, SOCK_STREAM, 0).unwrap();
+        client
+            .connect(cfd, &SockAddrIn::new(Ipv4::new(10, 0, 0, 1), 7))
+            .unwrap();
+        client.send_all(cfd, b"inherited").unwrap();
+
+        let mut child = UnixProcess::new(&net, sh);
+        assert!(Blocking::Pump.wait_until(&net, |w| w.tcp_pending(listener) > 0, 100_000));
+        let conn = net
+            .with(|w| w.tcp_accept(listener))
+            .expect("pending connection");
+        let fd = child.adopt(conn);
+        let mut buf = [0u8; 16];
+        let n = child.recv(fd, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"inherited");
+        child.send_all(fd, &buf[..n]).unwrap();
+        child.close(fd).unwrap();
+
+        let n = client.recv(cfd, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"inherited");
+        assert_eq!(client.recv(cfd, &mut buf), Ok(0), "orderly EOF after close");
     }
 }
